@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .channel import Awgn, ChannelModel, Dmc, RayleighCsi, load_dmc, make_rng, sample_batch
 from .constellation import Constellation, make_constellation
@@ -456,6 +455,8 @@ def _direct_llr_samples(cfg: PbicmSimConfig, rng):
 
 
 def _two_sample_discrete(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    from scipy import stats  # imported here: it dominates the package's import time
+
     vals = np.unique(np.concatenate([a, b]))
     ca = np.array([(a == v).sum() for v in vals])
     cb = np.array([(b == v).sum() for v in vals])
@@ -475,6 +476,8 @@ def equivalence_test(
     ``dither=False`` and ``zero_other_levels=True`` inject the faults whose
     detection demonstrates why the randomization is required.
     """
+    from scipy import stats  # imported here: it dominates the package's import time
+
     if cfg.trials * cfg.code.n < 10_000:
         raise ValueError("insufficient samples (< 10^4): increase trials")
     z_pipe, b_pipe = _pipeline_llr_samples(cfg, make_rng(cfg.seed, 900_001), dither, zero_other_levels)

@@ -25,8 +25,10 @@ from scipy.special import erfc, erfcinv
 
 from . import kernels
 from ._ensemble import (
+    CacheEntry,
     Ensemble,
     QuadratureConvergenceError,
+    cache_entry,
     get_ensemble,
     moment_table,
 )
@@ -71,20 +73,13 @@ CURVE_KINDS = (
     "UnconstrainedRandomCoding",
 )
 
-_MOMENTS_CACHE: dict[tuple, tuple] = {}
 
-
-def _moments(base: ChannelModel, cons: Constellation, mary: bool):
-    from ._ensemble import _channel_key, _cons_key
-
-    key = (_channel_key(base), _cons_key(cons), mary)
-    out = _MOMENTS_CACHE.get(key)
-    if out is None:
-        out = moment_table(base, cons, mary=mary)
-        if len(_MOMENTS_CACHE) > 16:
-            _MOMENTS_CACHE.pop(next(iter(_MOMENTS_CACHE)))
-        _MOMENTS_CACHE[key] = out
-    return out
+def _moments(base: ChannelModel, cons: Constellation):
+    """Gated ``moment_table`` of (base, cons), computed once per cache entry."""
+    entry = cache_entry(base, cons)
+    if entry.moments is None:
+        entry.moments = moment_table(base, cons)
+    return entry.moments
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +91,17 @@ def capacity_subchannel(base: ChannelModel, cons: Constellation, s: int) -> floa
     """C(W_s) in bits for sub-channel s (1-based)."""
     if not 1 <= s <= cons.L:
         raise ValueError(f"sub-channel index must be in 1..{cons.L}")
-    return float(_moments(base, cons, False)[0][s - 1])
+    return float(_moments(base, cons)[0][s - 1])
 
 
 def capacity_pbicm(base: ChannelModel, cons: Constellation) -> float:
     """Achievable sum rate of the parallel scheme: sum_s C(W_s), bits/use."""
-    return float(_moments(base, cons, False)[0].sum())
+    return float(_moments(base, cons)[0].sum())
 
 
 def capacity_cm(base: ChannelModel, cons: Constellation) -> float:
     """Coded-modulation capacity I(X;Y) with equiprobable symbols, bits/use."""
-    return float(_moments(base, cons, True)[2][0])
+    return float(_moments(base, cons)[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -114,36 +109,34 @@ def capacity_cm(base: ChannelModel, cons: Constellation) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sub_integrals(ens: Ensemble, rho: float) -> np.ndarray:
+def _sub_integrals(ens: Ensemble, memo: CacheEntry, rho: float) -> np.ndarray:
     """2**-E0_s(rho) for every sub-channel, from the stored ensemble."""
-    cache = ens.__dict__.setdefault("_sub_cache", {})
-    v = cache.get(rho)
+    v = memo.sub_e0.get(rho)
     if v is None:
-        L = ens.L
-        v = np.zeros(L)
+        v = np.zeros(ens.L)
         for snap in ens.snapshots:
-            for s in range(L):
+            for s in range(ens.L):
                 v[s] += snap.weight * kernels.e0_binary_integral(
                     snap.log_sub[s, 0], snap.log_sub[s, 1], snap.int_w, rho
                 )
-        cache[rho] = v
+        memo.sub_e0[rho] = v
     return v
 
 
-def _mary_integral(ens: Ensemble, rho: float) -> float:
-    cache = ens.__dict__.setdefault("_mary_cache", {})
-    v = cache.get(rho)
+def _mary_integral(ens: Ensemble, memo: CacheEntry, rho: float) -> float:
+    """2**-E0(rho) of the full equiprobable input, from the stored ensemble."""
+    v = memo.mary_e0.get(rho)
     if v is None:
         v = 0.0
         for snap in ens.snapshots:
             v += snap.weight * kernels.e0_mary_integral(snap.log_mary, snap.int_w, rho)
-        cache[rho] = v
+        memo.mary_e0[rho] = v
     return v
 
 
 @dataclass
 class E0Evaluator:
-    """Memoized E0(rho) for one of the four channel views.
+    """E0(rho) for one of the four channel views.
 
     kind "Subchannel" (requires s): one binary sub-channel.
     kind "WbarCombined": the randomized binary channel (soft combine over
@@ -160,7 +153,7 @@ class E0Evaluator:
     kind: str
     s: int | None = None
     _ens: Ensemble = field(init=False, repr=False)
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
+    _memo: CacheEntry = field(init=False, repr=False)  # per-rho integrals, shared by all views
 
     def __post_init__(self):
         self.kind = _E0_ALIASES.get(self.kind, self.kind)
@@ -171,24 +164,16 @@ class E0Evaluator:
                 raise ValueError("Subchannel kind requires s in 1..L")
         elif self.s is not None:
             raise ValueError("s is only valid for the Subchannel kind")
-        object.__setattr__(
-            self, "_ens", get_ensemble(self.base, self.cons, mary=self.kind == "Unconstrained")
-        )
+        self._ens = get_ensemble(self.base, self.cons)
+        self._memo = cache_entry(self.base, self.cons)
 
     def e0(self, rho: float) -> float:
         rho = float(rho)
         if not 0.0 <= rho <= RHO_MAX:
             raise ValueError(f"rho must be in [0, {RHO_MAX:g}]")
-        v = self._cache.get(rho)
-        if v is None:
-            v = self._eval(rho)
-            self._cache[rho] = v
-        return v
-
-    def _eval(self, rho: float) -> float:
         if self.kind == "Unconstrained":
-            return -math.log2(_mary_integral(self._ens, rho))
-        ints = _sub_integrals(self._ens, rho)
+            return -math.log2(_mary_integral(self._ens, self._memo, rho))
+        ints = _sub_integrals(self._ens, self._memo, rho)
         if self.kind == "Subchannel":
             return -math.log2(ints[self.s - 1])
         if self.kind == "WbarCombined":
@@ -296,7 +281,7 @@ class DispersionReport:
 
 
 def dispersion_report(base: ChannelModel, cons: Constellation) -> DispersionReport:
-    m1, m2, _ = _moments(base, cons, False)
+    m1, m2, _ = _moments(base, cons)
     c_sub = m1
     v_sub = m2 - m1 * m1
     c_wbar = float(c_sub.mean())

@@ -1,36 +1,15 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
-
-Set ``PBICM_NO_NUMBA=1`` to force the numpy path (also used automatically
-when numba is unavailable).  Both paths are exercised by the test suite and
-compared by ``benchmarks/bench_kernels.py``.
-"""
+"""Hot numeric kernels: the LLR demapper and the Gallager integrand sums."""
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
-
-    prange = range
-
 
 def numba_enabled() -> bool:
-    if os.environ.get("PBICM_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}:
-        return False
-    return HAS_NUMBA
+    return False  # kept for callers that record the kernel path; the kernels are numpy only
+
+
+def warmup() -> None:
+    """No-op, kept for callers written when the kernels were compiled on first use."""
 
 
 # ---------------------------------------------------------------------------
@@ -40,61 +19,9 @@ def numba_enabled() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _llr_numpy(yr, yi, hr, hi, sr, si, inv_n0, sets, llr_max):
-    L = sets.shape[0]
-    dr = yr[:, None] - (hr[:, None] * sr[None, :] - hi[:, None] * si[None, :])
-    di = yi[:, None] - (hr[:, None] * si[None, :] + hi[:, None] * sr[None, :])
-    e = -(dr * dr + di * di) * inv_n0  # (N, M)
-    out = np.empty((L, yr.size))
-    for s in range(L):
-        a0 = _logsumexp_cols(e[:, sets[s, 0]])
-        a1 = _logsumexp_cols(e[:, sets[s, 1]])
-        out[s] = np.clip(a0 - a1, -llr_max, llr_max)
-    return out
-
-
 def _logsumexp_cols(e):
     m = e.max(axis=1)
     return m + np.log(np.exp(e - m[:, None]).sum(axis=1))
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def _llr_numba(yr, yi, hr, hi, sr, si, inv_n0, sets, llr_max):  # pragma: no cover
-    N = yr.size
-    L = sets.shape[0]
-    half = sets.shape[2]
-    M = sr.size
-    out = np.empty((L, N))
-    for k in prange(N):
-        e = np.empty(M)
-        for j in range(M):
-            exr = hr[k] * sr[j] - hi[k] * si[j]
-            exi = hr[k] * si[j] + hi[k] * sr[j]
-            dr = yr[k] - exr
-            di = yi[k] - exi
-            e[j] = -(dr * dr + di * di) * inv_n0
-        for s in range(L):
-            m0 = -1e300
-            m1 = -1e300
-            for t in range(half):
-                v0 = e[sets[s, 0, t]]
-                v1 = e[sets[s, 1, t]]
-                if v0 > m0:
-                    m0 = v0
-                if v1 > m1:
-                    m1 = v1
-            a0 = 0.0
-            a1 = 0.0
-            for t in range(half):
-                a0 += math.exp(e[sets[s, 0, t]] - m0)
-                a1 += math.exp(e[sets[s, 1, t]] - m1)
-            v = (m0 + math.log(a0)) - (m1 + math.log(a1))
-            if v > llr_max:
-                v = llr_max
-            elif v < -llr_max:
-                v = -llr_max
-            out[s, k] = v
-    return out
 
 
 def llr_batch(y, h, symbols, n0, sets, llr_max) -> np.ndarray:
@@ -103,24 +30,18 @@ def llr_batch(y, h, symbols, n0, sets, llr_max) -> np.ndarray:
     ``sets[s, b]`` lists the label integers whose bit s equals b.  ``h`` may
     be None (no fading).  Returns an (L, N) float array in natural-log units.
     """
-    y = np.ascontiguousarray(y, dtype=complex).ravel()
-    hv = np.ones(y.size) + 0j if h is None else np.ascontiguousarray(h, dtype=complex).ravel()
-    sr = np.ascontiguousarray(symbols.real)
-    si = np.ascontiguousarray(symbols.imag)
-    args = (
-        np.ascontiguousarray(y.real),
-        np.ascontiguousarray(y.imag),
-        np.ascontiguousarray(hv.real),
-        np.ascontiguousarray(hv.imag),
-        sr,
-        si,
-        1.0 / n0,
-        np.ascontiguousarray(sets, dtype=np.int64),
-        float(llr_max),
-    )
-    if numba_enabled() and y.size >= 512:
-        return _llr_numba(*args)
-    return _llr_numpy(*args)
+    y = np.asarray(y, dtype=complex).ravel()
+    h = np.ones(y.size) + 0j if h is None else np.asarray(h, dtype=complex).ravel()
+    sr, si = symbols.real, symbols.imag
+    dr = y.real[:, None] - (h.real[:, None] * sr[None, :] - h.imag[:, None] * si[None, :])
+    di = y.imag[:, None] - (h.real[:, None] * si[None, :] + h.imag[:, None] * sr[None, :])
+    e = -(dr * dr + di * di) * (1.0 / n0)  # (N, M)
+    out = np.empty((sets.shape[0], y.size))
+    for s in range(sets.shape[0]):
+        a0 = _logsumexp_cols(e[:, sets[s, 0]])
+        a1 = _logsumexp_cols(e[:, sets[s, 1]])
+        out[s] = np.clip(a0 - a1, -llr_max, llr_max)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,74 +51,20 @@ def llr_batch(y, h, symbols, n0, sets, llr_max) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _e0_binary_numpy(ld0, ld1, w, q):
-    t = 0.5 * np.exp(q * ld0) + 0.5 * np.exp(q * ld1)
-    return float(np.dot(w, t ** (1.0 / q)))
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def _e0_binary_numba(ld0, ld1, w, q):  # pragma: no cover
-    acc = 0.0
-    p = 1.0 / q
-    for k in prange(ld0.size):
-        t = 0.5 * math.exp(q * ld0[k]) + 0.5 * math.exp(q * ld1[k])
-        acc += w[k] * t**p
-    return acc
-
-
-def _e0_mary_numpy(logd, w, q):
-    t = np.exp(q * logd).mean(axis=0)
-    return float(np.dot(w, t ** (1.0 / q)))
-
-
-@njit(parallel=True, fastmath=True, cache=True)
-def _e0_mary_numba(logd, w, q):  # pragma: no cover
-    m, K = logd.shape
-    acc = 0.0
-    p = 1.0 / q
-    for k in prange(K):
-        t = 0.0
-        for i in range(m):
-            t += math.exp(q * logd[i, k])
-        acc += w[k] * (t / m) ** p
-    return acc
-
-
 def e0_binary_integral(ld0, ld1, w, rho) -> float:
     """Gallager integrand sum for a binary channel snapshot (equals 2**-E0)."""
     q = 1.0 / (1.0 + rho)
-    if numba_enabled() and ld0.size >= 4096 and np.isfinite(ld0.min()) and np.isfinite(ld1.min()):
-        return _e0_binary_numba(ld0, ld1, w, q)
-    return _e0_binary_numpy(ld0, ld1, w, q)
+    t = 0.5 * np.exp(q * ld0) + 0.5 * np.exp(q * ld1)
+    return float(np.dot(w, t ** (1.0 / q)))
 
 
 def e0_mary_integral(logd, w, rho) -> float:
     """Gallager integrand sum for an m-ary equiprobable channel snapshot."""
     q = 1.0 / (1.0 + rho)
-    if numba_enabled() and logd.size >= 4096 and np.isfinite(logd.min()):
-        return _e0_mary_numba(logd, w, q)
-    return _e0_mary_numpy(logd, w, q)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the hot kernels on tiny inputs."""
-    if not numba_enabled():
-        return
-    y = np.array([0.1 + 0.2j, -0.3 + 0.1j] * 256)
-    s = np.array([1.0 + 0j, -1.0 + 0j])
-    sets = np.zeros((1, 2, 1), dtype=np.int64)
-    sets[0, 1, 0] = 1
-    _llr_numba(
-        np.ascontiguousarray(y.real),
-        np.ascontiguousarray(y.imag),
-        np.ones(y.size),
-        np.zeros(y.size),
-        np.ascontiguousarray(s.real),
-        np.ascontiguousarray(s.imag),
-        1.0,
-        sets,
-        700.0,
-    )
-    ld = -np.abs(np.random.default_rng(0).random((2, 64)))
-    _e0_binary_numba(ld[0], ld[1], np.full(64, 1.0 / 64), 0.5)
-    _e0_mary_numba(ld, np.full(64, 1.0 / 64), 0.5)
+    # accumulate row by row (the order mean(axis=0) adds in): an (m, K)
+    # temporary per call is large enough for malloc to map and fault it in
+    # anew on every call
+    t = np.exp(q * logd[0])
+    for row in logd[1:]:
+        t += np.exp(q * row)
+    return float(np.dot(w, (t / logd.shape[0]) ** (1.0 / q)))

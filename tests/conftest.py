@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from pbicm import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jitted kernels once so timed tests measure math, not JIT
-    kernels.warmup()
-
 
 @pytest.fixture
 def rng():

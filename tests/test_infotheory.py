@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbicm import dmc
+from pbicm import _ensemble, dmc, infotheory
 from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, bsc
 from pbicm.constellation import make_constellation
 from pbicm.infotheory import (
@@ -438,3 +438,77 @@ def test_moment_quadrature_default_is_converged():
     m1b, m2b, _ = moment_table(Awgn(Snr(5.0).n0), QPSK, gh=64)
     np.testing.assert_allclose(m1a, m1b, atol=1e-4)
     np.testing.assert_allclose(m2a, m2b, atol=1e-4)
+
+
+def test_moment_quadrature_stops_at_first_non_finite_pass(monkeypatch):
+    def nan_rule(n):
+        t, w = np.polynomial.laguerre.laggauss(n)
+        return t, np.full_like(w, np.nan)
+
+    passes = []
+    real_pass = _ensemble._moment_pass
+
+    def counted_pass(*args):
+        passes.append(args[2:])
+        return real_pass(*args)
+
+    monkeypatch.setattr(_ensemble, "laggauss", nan_rule)
+    monkeypatch.setattr(_ensemble, "_moment_pass", counted_pass)
+    with pytest.raises(QuadratureConvergenceError, match="gh=32, gl=64") as err:
+        moment_table(RayleighCsi(Snr(5.0).n0), BPSK)
+    assert "not finite" in str(err.value)
+    assert passes == [(32, 64)]
+
+
+# ---------------------------------------------------------------------------
+# one cache entry per (channel, constellation)
+# ---------------------------------------------------------------------------
+
+
+def test_capacities_and_dispersion_share_one_moment_table(monkeypatch):
+    calls = []
+    real_table = infotheory.moment_table
+
+    def counted_table(*args, **kwargs):
+        calls.append(args)
+        return real_table(*args, **kwargs)
+
+    monkeypatch.setattr(_ensemble, "_CACHE", {})
+    monkeypatch.setattr(infotheory, "moment_table", counted_table)
+    base = Awgn(Snr(3.0).n0)
+    c_cm = capacity_cm(base, QPSK)
+    c_pb = capacity_pbicm(base, QPSK)
+    rep = dispersion_report(base, QPSK)
+    assert len(calls) == 1
+    assert c_cm >= c_pb - 1e-4 and rep.c_pbicm == c_pb
+
+
+def test_all_e0_kinds_share_one_ensemble(monkeypatch):
+    builds = []
+    real_iter = _ensemble.iter_snapshots
+
+    def counted_iter(*args, **kwargs):
+        builds.append(args)
+        return real_iter(*args, **kwargs)
+
+    monkeypatch.setattr(_ensemble, "_CACHE", {})
+    monkeypatch.setattr(_ensemble, "iter_snapshots", counted_iter)
+    base = Awgn(Snr(3.0).n0)
+    values = [
+        e0_evaluator(base, QPSK, kind, 1 if kind == "Subchannel" else None).e0(0.5) for kind in E0_KINDS
+    ]
+    assert len(builds) == 1
+    assert all(np.isfinite(values))
+
+
+@pytest.mark.parametrize("base", [Awgn(Snr(5.0).n0), RayleighCsi(Snr(5.0).n0)], ids=["awgn", "rayleigh"])
+def test_e0_slope_at_zero_matches_capacities(base):
+    # E0'(0) is the mutual information; the E0 ensemble and the moment pass
+    # are built from the same Hermite blocks, reduced two ways (the union
+    # grid is ungated, hence the looser tolerance)
+    h = 1e-6
+    cons = make_constellation("PSK8")
+    assert e0_evaluator(base, cons, "Unconstrained").e0(h) / h == pytest.approx(capacity_cm(base, cons), abs=1e-3)
+    for s in range(1, cons.L + 1):
+        slope = e0_evaluator(base, cons, "Subchannel", s).e0(h) / h
+        assert slope == pytest.approx(capacity_subchannel(base, cons, s), abs=1e-3)
