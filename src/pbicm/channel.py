@@ -10,6 +10,7 @@ outputs are (y, h) pairs and densities condition on h.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,10 @@ class Snr:
 
     @property
     def n0(self) -> float:
-        return 10.0 ** (-min(self.value_db, SNR_DB_CAP) / 10.0)
+        try:
+            return 10.0 ** (-min(self.value_db, SNR_DB_CAP) / 10.0)
+        except OverflowError:
+            raise ValueError(f"SNR of {self.value_db} dB is too low: noise level overflows") from None
 
 
 @dataclass(frozen=True)
@@ -52,13 +56,17 @@ class Dmc:
         return self.matrix.shape[1]
 
 
+def _check_n0(n0: float) -> None:
+    if not (math.isfinite(n0) and n0 > 0):
+        raise ValueError(f"noise level must be finite and positive, got {n0}")
+
+
 @dataclass(frozen=True)
 class Awgn:
     n0: float
 
     def __post_init__(self):
-        if self.n0 <= 0:
-            raise ValueError("noise level must be positive")
+        _check_n0(self.n0)
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,7 @@ class RayleighCsi:
     n0: float
 
     def __post_init__(self):
-        if self.n0 <= 0:
-            raise ValueError("noise level must be positive")
+        _check_n0(self.n0)
 
 
 ChannelModel = Dmc | Awgn | RayleighCsi

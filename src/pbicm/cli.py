@@ -21,7 +21,7 @@ import numpy as np
 
 from . import codec, infotheory
 from ._opt import exponent_max
-from .channel import Awgn, Dmc, RayleighCsi, load_dmc
+from .channel import Awgn, Dmc, awgn_from_snr, load_dmc, rayleigh_from_snr
 from .constellation import KINDS, make_constellation
 
 
@@ -58,8 +58,7 @@ def _make_channel(kind: str, snr_db, dmc_file):
         return load_dmc(dmc_file)
     if snr_db is None or math.isnan(snr_db):
         raise SystemExit("continuous channels require --snr-db (or --snr-sweep)")
-    n0 = 10 ** (-min(float(snr_db), 100.0) / 10)
-    return Awgn(n0) if kind == "awgn" else RayleighCsi(n0)
+    return awgn_from_snr(float(snr_db)) if kind == "awgn" else rayleigh_from_snr(float(snr_db))
 
 
 def _snr_points(args) -> list[float]:

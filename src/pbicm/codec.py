@@ -20,7 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Awgn, ChannelModel, Dmc, RayleighCsi, load_dmc, make_rng, sample_batch
+from .channel import (
+    ChannelModel,
+    Dmc,
+    RayleighCsi,
+    awgn_from_snr,
+    load_dmc,
+    make_rng,
+    rayleigh_from_snr,
+    sample_batch,
+)
 from .constellation import Constellation, make_constellation
 from .subchannel import llr_matrix
 
@@ -126,22 +135,23 @@ def make_state(L: int, n: int, rng: np.random.Generator) -> PbicmState:
 
 
 def interleave(B: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Cyclic per-column shift: output row l of column k is input row (l+s_k) mod L.
+    """Cyclic per-column shift of the level axis of a (..., L, n) batch.
 
-    A zero state leaves the column untouched.
+    Output row l of column k is input row (l+s_k) mod L, with states ``s`` of
+    shape (..., n).  A zero state leaves the column untouched.
     """
     B = np.asarray(B)
-    L = B.shape[0]
-    rows = (np.arange(L)[:, None] + np.asarray(s)[None, :]) % L
-    return np.take_along_axis(B, rows, axis=0)
+    L = B.shape[-2]
+    rows = (np.arange(L)[:, None] + np.asarray(s)[..., None, :]) % L
+    return np.take_along_axis(B, rows, axis=-2)
 
 
 def deinterleave(Z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Inverse column shift, applied to bit or LLR matrices alike."""
+    """Inverse column shift of a (..., L, n) bit or LLR batch, states (..., n)."""
     Z = np.asarray(Z)
-    L = Z.shape[0]
-    rows = (np.arange(L)[:, None] - np.asarray(s)[None, :]) % L
-    return np.take_along_axis(Z, rows, axis=0)
+    L = Z.shape[-2]
+    rows = (np.arange(L)[:, None] - np.asarray(s)[..., None, :]) % L
+    return np.take_along_axis(Z, rows, axis=-2)
 
 
 def apply_dither(bits: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -158,28 +168,60 @@ def ml_decode(code: BinaryCode, z: np.ndarray) -> int:
     z = np.asarray(z, dtype=float)
     if z.shape != (code.n,):
         raise ValueError("LLR vector length must equal the code blocklength")
-    scores = (1.0 - 2.0 * code.codebook.astype(float)) @ z
-    return int(np.argmax(scores))
+    return int(_ml_decode_batch(code, z))
 
 
 def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
+    """ML message of every length-n row of a (..., n) LLR batch, as one GEMM."""
     signs = 1.0 - 2.0 * code.codebook.astype(float)  # (M, n)
-    return np.argmax(Z @ signs.T, axis=-1)
+    scores = Z.reshape(-1, code.n) @ signs.T
+    return np.argmax(scores, axis=-1).reshape(Z.shape[:-1])
 
 
 def _pack_labels(btilde: np.ndarray) -> np.ndarray:
-    """MSB-first pack along axis 1 of a (T, L, n) bit array -> (T, n) ints."""
-    L = btilde.shape[1]
+    """MSB-first pack of the level axis of a (..., L, n) bit array -> (..., n) ints."""
+    L = btilde.shape[-2]
     weights = (1 << np.arange(L - 1, -1, -1)).astype(np.int64)
-    return np.tensordot(btilde.astype(np.int64), weights, axes=([1], [0]))
+    return np.tensordot(btilde.astype(np.int64), weights, axes=([-2], [0]))
+
+
+def _map_and_sample(base: ChannelModel, cons: Constellation, lab: np.ndarray, rng):
+    """Send labels: Dmc rows for a Dmc base, constellation symbols otherwise."""
+    x = cons.labels[lab] if isinstance(base, Dmc) else cons.symbols[lab]
+    return sample_batch(base, x, rng)
 
 
 def _llr_of_outputs(base: ChannelModel, cons: Constellation, out) -> np.ndarray:
-    """(L, N) LLR matrix for flat channel outputs of any base type."""
-    if isinstance(base, RayleighCsi):
-        y, h = out
-        return llr_matrix(base, cons, y.ravel(), h.ravel())
-    return llr_matrix(base, cons, np.asarray(out).ravel())
+    """(..., L, n) LLRs of channel outputs of shape (..., n), any base type."""
+    ys = [np.asarray(a) for a in (out if isinstance(base, RayleighCsi) else (out,))]
+    z = llr_matrix(base, cons, *(a.ravel() for a in ys))  # (L, N)
+    return np.moveaxis(z.reshape(cons.L, *ys[0].shape), 0, -2)
+
+
+def _send(base: ChannelModel, cons: Constellation, cw, d, s, rng):
+    """Dither, interleave, pack and map (..., L, n) codeword bits, then send them."""
+    return _map_and_sample(base, cons, _pack_labels(interleave(apply_dither(cw, d), s)), rng)
+
+
+def _receive_llrs(base: ChannelModel, cons: Constellation, out, d, s) -> np.ndarray:
+    """Demap, de-interleave and de-dither channel outputs -> (..., L, n) LLRs."""
+    return remove_dither_llr(deinterleave(_llr_of_outputs(base, cons, out), s), d)
+
+
+def _direct_llrs(base: ChannelModel, cons: Constellation, bits: np.ndarray, rng) -> np.ndarray:
+    """De-dithered LLRs of (..., n) bits sent over the synthesized binary channel.
+
+    Each bit, XORed with a fresh dither bit, replaces label bit s of a uniform
+    random label, with s uniform on {1..L}; the receiver keeps LLR s.
+    """
+    L = cons.L
+    s = rng.integers(1, L + 1, size=bits.shape)
+    d = rng.integers(0, 2, size=bits.shape).astype(np.uint8)
+    u = rng.integers(0, cons.m, size=bits.shape)
+    shift = L - s
+    lab = (u & ~(1 << shift)) | ((bits ^ d).astype(np.int64) << shift)
+    z = _llr_of_outputs(base, cons, _map_and_sample(base, cons, lab, rng))
+    return remove_dither_llr(np.take_along_axis(z, (s - 1)[..., None, :], axis=-2)[..., 0, :], d)
 
 
 def pbicm_transmit(
@@ -201,11 +243,7 @@ def pbicm_transmit(
         raise ValueError("need one message per level")
     if messages.min() < 0 or messages.max() >= code.M:
         raise ValueError("message index out of range")
-    cw = code.codebook[messages]  # (L, n)
-    btilde = interleave(apply_dither(cw, state.d), state.s)
-    lab = _pack_labels(btilde[None])[0]
-    x = cons.labels[lab] if isinstance(base, Dmc) else cons.symbols[lab]
-    return sample_batch(base, x, rng)
+    return _send(base, cons, code.codebook[messages], state.d, state.s, rng)
 
 
 def pbicm_receive(
@@ -216,9 +254,7 @@ def pbicm_receive(
     cons: Constellation,
 ) -> np.ndarray:
     """Demap, de-interleave, de-dither and ML-decode all L levels."""
-    z_tilde = _llr_of_outputs(base, cons, y)  # (L, n)
-    z = remove_dither_llr(deinterleave(z_tilde, state.s), state.d)
-    return _ml_decode_batch(code, z)
+    return _ml_decode_batch(code, _receive_llrs(base, cons, y, state.d, state.s))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +284,9 @@ class PbicmSimConfig:
         ch = obj["channel"]
         kind = ch["kind"]
         if kind == "awgn":
-            channel: ChannelModel = Awgn(10 ** (-float(ch["snr_db"]) / 10))
+            channel: ChannelModel = awgn_from_snr(float(ch["snr_db"]))
         elif kind == "rayleigh":
-            channel = RayleighCsi(10 ** (-float(ch["snr_db"]) / 10))
+            channel = rayleigh_from_snr(float(ch["snr_db"]))
         elif kind == "dmc":
             if "file" in ch:
                 channel = load_dmc(Path(base_dir) / ch["file"])
@@ -308,37 +344,15 @@ def _simulate_chunk(cfg: PbicmSimConfig, t: int, rng: np.random.Generator):
     msgs = rng.integers(0, code.M, size=(t, L))
     d = rng.integers(0, 2, size=(t, L, n)).astype(np.uint8)
     s = rng.integers(0, L, size=(t, n))
-    cw = code.codebook[msgs]  # (t, L, n)
-    bp = cw ^ d
-    rows = (np.arange(L)[None, :, None] + s[:, None, :]) % L
-    btilde = np.take_along_axis(bp, rows, axis=1)
-    lab = _pack_labels(btilde)
-    x = cons.labels[lab] if isinstance(base, Dmc) else cons.symbols[lab]
-    out = sample_batch(base, x, rng)
-    z_tilde = _llr_of_outputs(base, cons, out).reshape(L, t, n).transpose(1, 0, 2)
-    rows_inv = (np.arange(L)[None, :, None] - s[:, None, :]) % L
-    z = np.take_along_axis(z_tilde, rows_inv, axis=1) * (1.0 - 2.0 * d)
-    dec = _ml_decode_batch(code, z)  # (t, L)
+    out = _send(base, cons, code.codebook[msgs], d, s, rng)
+    dec = _ml_decode_batch(code, _receive_llrs(base, cons, out, d, s))  # (t, L)
     lvl_err = dec != msgs
-    kb = code.message_bits
-    shifts = np.arange(kb - 1, -1, -1)
+    shifts = np.arange(code.message_bits - 1, -1, -1)
     bit_err = (((dec ^ msgs)[..., None] >> shifts) & 1).sum(axis=(0, 2))  # per level
 
     # Direct synthesis of the randomized binary channel, same code.
     msgs_w = rng.integers(0, code.M, size=t)
-    cw_w = code.codebook[msgs_w]  # (t, n)
-    s_w = rng.integers(1, L + 1, size=(t, n))
-    d_w = rng.integers(0, 2, size=(t, n)).astype(np.uint8)
-    u = rng.integers(0, cons.m, size=(t, n))
-    shift = L - s_w
-    inp = (cw_w ^ d_w).astype(np.int64)
-    lab_w = (u & ~(1 << shift)) | (inp << shift)
-    xw = cons.labels[lab_w] if isinstance(base, Dmc) else cons.symbols[lab_w]
-    out_w = sample_batch(base, xw, rng)
-    z_all = _llr_of_outputs(base, cons, out_w).reshape(L, t, n)
-    z_w = z_all[(s_w - 1).ravel(), np.repeat(np.arange(t), n), np.tile(np.arange(n), t)]
-    z_w = z_w.reshape(t, n) * (1.0 - 2.0 * d_w)
-    dec_w = _ml_decode_batch(code, z_w)
+    dec_w = _ml_decode_batch(code, _direct_llrs(base, cons, code.codebook[msgs_w], rng))
     return (
         int(lvl_err.any(axis=1).sum()),
         lvl_err.sum(axis=0).astype(np.int64),
@@ -415,43 +429,21 @@ def _pipeline_llr_samples(cfg: PbicmSimConfig, rng, dither: bool, zero_other_lev
     """Level-1 de-dithered LLRs paired with the transmitted level-1 bits."""
     code, cons, base = cfg.code, cfg.cons, cfg.channel
     L, n, t = cons.L, code.n, cfg.trials
-    msgs = rng.integers(0, code.M, size=(t, L))
+    cw = code.codebook[rng.integers(0, code.M, size=(t, L))]
     if zero_other_levels:
-        msgs[:, 1:] = 0  # non-random code at the other levels
-    cw = code.codebook[msgs]
-    if zero_other_levels:
-        cw[:, 1:, :] = 0
+        cw[:, 1:, :] = 0  # non-random code at the other levels
     d = rng.integers(0, 2, size=(t, L, n)).astype(np.uint8)
     if not dither:
         d[:] = 0
     s = rng.integers(0, L, size=(t, n))
-    rows = (np.arange(L)[None, :, None] + s[:, None, :]) % L
-    btilde = np.take_along_axis(cw ^ d, rows, axis=1)
-    lab = _pack_labels(btilde)
-    x = cons.labels[lab] if isinstance(base, Dmc) else cons.symbols[lab]
-    out = sample_batch(base, x, rng)
-    z_tilde = _llr_of_outputs(base, cons, out).reshape(L, t, n).transpose(1, 0, 2)
-    rows_inv = (np.arange(L)[None, :, None] - s[:, None, :]) % L
-    z = np.take_along_axis(z_tilde, rows_inv, axis=1) * (1.0 - 2.0 * d)
+    z = _receive_llrs(base, cons, _send(base, cons, cw, d, s, rng), d, s)
     return z[:, 0, :].ravel(), cw[:, 0, :].ravel()
 
 
 def _direct_llr_samples(cfg: PbicmSimConfig, rng):
     """LLR samples of the synthesized randomized binary channel, per input bit."""
-    code, cons, base = cfg.code, cfg.cons, cfg.channel
-    L, n, t = cons.L, code.n, cfg.trials
-    b = rng.integers(0, 2, size=(t, n)).astype(np.uint8)
-    s_w = rng.integers(1, L + 1, size=(t, n))
-    d_w = rng.integers(0, 2, size=(t, n)).astype(np.uint8)
-    u = rng.integers(0, cons.m, size=(t, n))
-    shift = L - s_w
-    lab = (u & ~(1 << shift)) | ((b ^ d_w).astype(np.int64) << shift)
-    x = cons.labels[lab] if isinstance(base, Dmc) else cons.symbols[lab]
-    out = sample_batch(base, x, rng)
-    z_all = _llr_of_outputs(base, cons, out).reshape(L, t, n)
-    z = z_all[(s_w - 1).ravel(), np.repeat(np.arange(t), n), np.tile(np.arange(n), t)]
-    z = z.reshape(t, n) * (1.0 - 2.0 * d_w)
-    return z.ravel(), b.ravel()
+    b = rng.integers(0, 2, size=(cfg.trials, cfg.code.n)).astype(np.uint8)
+    return _direct_llrs(cfg.channel, cfg.cons, b, rng).ravel(), b.ravel()
 
 
 def _two_sample_discrete(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -29,6 +29,20 @@ def test_snr_to_noise_level():
     assert Snr(1e9).n0 == Snr(100.0).n0 == 1e-10
 
 
+@pytest.mark.parametrize("kind", [Awgn, RayleighCsi])
+@pytest.mark.parametrize("n0", [0.0, -1.0, float("nan"), float("inf")])
+def test_noise_level_must_be_finite_and_positive(kind, n0):
+    with pytest.raises(ValueError, match="finite and positive"):
+        kind(n0)
+
+
+def test_snr_too_low_for_a_float_noise_level():
+    with pytest.raises(ValueError, match="-4000"):
+        Snr(-4000.0).n0
+    with pytest.raises(ValueError):
+        awgn_from_snr(-4000.0)
+
+
 def test_from_snr_accepts_both_forms():
     assert awgn_from_snr(Snr(3.0)).n0 == awgn_from_snr(3.0).n0
     assert rayleigh_from_snr(Snr(3.0)).n0 == rayleigh_from_snr(3.0).n0

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbicm.channel import Awgn, Dmc, Snr, make_rng, save_dmc
+from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, make_rng, save_dmc
 from pbicm.codec import (
     BinaryCode,
     PbicmSimConfig,
+    _ml_decode_batch,
     PbicmState,
     apply_dither,
     deinterleave,
@@ -100,14 +101,19 @@ def test_interleave_single_level_is_identity():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 10**6))
-def test_interleave_round_trip_property(L, n, seed):
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 4), st.integers(0, 10**6))
+def test_interleave_round_trip_property(L, n, T, seed):
     rng = np.random.default_rng(seed)
     B = rng.integers(0, 2, size=(L, n))
     s = rng.integers(0, L, size=n)
     np.testing.assert_array_equal(deinterleave(interleave(B, s), s), B)
     # columns are permuted, never mixed
     assert sorted(interleave(B, s)[:, 0].tolist()) == sorted(B[:, 0].tolist())
+    # a leading batch axis acts block by block
+    Bt = rng.integers(0, 2, size=(T, L, n))
+    St = rng.integers(0, L, size=(T, n))
+    for shift in (interleave, deinterleave):
+        np.testing.assert_array_equal(shift(Bt, St), [shift(b, x) for b, x in zip(Bt, St)])
 
 
 def test_dither_involution():
@@ -157,6 +163,16 @@ def test_ml_decode_noiseless_hamming():
     for msg in range(16):
         z = LLR_MAX * (1.0 - 2.0 * c.codebook[msg])
         assert ml_decode(c, z) == msg
+
+
+def test_ml_decode_batch_matches_per_row():
+    code = random_codebook(64, 4096, seed=1)
+    Z = make_rng(2).normal(size=(5, 2, 64))
+    dec = _ml_decode_batch(code, Z)
+    assert dec.shape == (5, 2)
+    signs = 1.0 - 2.0 * code.codebook.astype(float)
+    np.testing.assert_array_equal(dec, [[ml_decode(code, z) for z in row] for row in Z])
+    np.testing.assert_array_equal(dec, [[np.argmax(signs @ z) for z in row] for row in Z])
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +294,39 @@ def test_simulate_chunking_consistency():
     assert large.counts["block_errors"] >= small.counts["block_errors"]
 
 
+def _pinned_dmc():
+    from conftest import random_stochastic
+
+    return Dmc(random_stochastic(np.random.default_rng(4), 4, 5))
+
+
+@pytest.mark.parametrize(
+    "code, kind, channel, trials, seed, counts",
+    [
+        (
+            hamming74(), "QPSK", Awgn(Snr(2.0).n0), 3000, 7,
+            {"block_errors": 468, "level_errors": [247, 243], "bit_errors": [447, 460],
+             "wbar_errors": 290, "message_bits": 4},
+        ),
+        (
+            repetition(5), "QAM16", RayleighCsi(Snr(8.0).n0), 9000, 3,
+            {"block_errors": 217, "level_errors": [60, 51, 54, 57],
+             "bit_errors": [60, 51, 54, 57], "wbar_errors": 53, "message_bits": 1},
+        ),
+        (
+            hamming74(), "QPSK", _pinned_dmc(), 3000, 4,
+            {"block_errors": 2927, "level_errors": [2621, 2612], "bit_errors": [5339, 5297],
+             "wbar_errors": 2638, "message_bits": 4},
+        ),
+    ],
+    ids=["qpsk-awgn-hamming", "qam16-rayleigh-rep5", "qpsk-dmc4x5-hamming"],
+)
+def test_simulate_counts_pinned(code, kind, channel, trials, seed, counts):
+    # exact counters pin the generator draw order, across chunks (9000 > 8192)
+    cfg = PbicmSimConfig(code, make_constellation(kind), channel, trials=trials, seed=seed)
+    assert simulate(cfg).counts == counts
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         _cfg(trials=0)
@@ -328,6 +377,22 @@ def test_sim_config_from_json(tmp_path):
         )
     )
     np.testing.assert_array_equal(cfg3.channel.matrix, mat)
+
+    def snr_cfg(kind, snr_db):
+        return json.dumps(
+            {
+                "code": {"kind": "hamming74"},
+                "constellation": "QPSK",
+                "channel": {"kind": kind, "snr_db": snr_db},
+                "trials": 10,
+            }
+        )
+
+    # the SNR is capped at 100 dB as on the command line, and NaN is refused
+    assert PbicmSimConfig.from_json(snr_cfg("awgn", 4000)).channel.n0 == 1e-10
+    assert PbicmSimConfig.from_json(snr_cfg("rayleigh", 4000)).channel == RayleighCsi(1e-10)
+    with pytest.raises(ValueError):
+        PbicmSimConfig.from_json(snr_cfg("awgn", float("nan")))
 
     with pytest.raises(ValueError):
         PbicmSimConfig.from_json(
