@@ -28,9 +28,10 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.laguerre import laggauss
 
+from . import kernels
 from .channel import Awgn, ChannelModel, Dmc
-from .constellation import Constellation
-from .subchannel import label_sets
+from .constellation import Constellation, int_to_bits
+from .subchannel import label_sets, subchannel_matrix
 
 GH_NODES = 32  # Gauss-Hermite nodes per real dimension
 GL_NODES = 64  # Gauss-Laguerre nodes on |h|^2
@@ -62,19 +63,11 @@ class Ensemble:
         return self.cons.L
 
 
-def _log_mean(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(mean(exp(a))) along ``axis``, shifted by the maximum for stability."""
-    peak = a.max(axis=axis, keepdims=True)
-    return np.squeeze(peak, axis) + np.log(np.exp(a - peak).mean(axis=axis))
-
-
 def _dmc_snapshot(base: Dmc, cons: Constellation) -> Snapshot:
-    if base.nx != cons.m:
-        raise ValueError("Dmc input count must equal 2**L")
-    rows = base.matrix[cons.labels]  # (m, ny), row b = label b
-    sub = rows[label_sets(cons.L)]  # (L, 2, m/2, ny)
     with np.errstate(divide="ignore"):
-        return Snapshot(1.0, np.ones(base.ny), np.log(sub.mean(axis=2)), np.log(rows))
+        return Snapshot(
+            1.0, np.ones(base.ny), np.log(subchannel_matrix(base, cons)), np.log(base.matrix[cons.labels])
+        )
 
 
 def _fading_nodes(base: ChannelModel, gl: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +99,9 @@ def _symbol_block(sym: np.ndarray, j: int, n0: float, gh: int):
     sym[j] was sent.
     """
     dz, wk = _hermite_rule(gh)
-    nodes = sym[j] + np.sqrt(n0) * dz
-    log_rows = -np.abs(nodes[None, :] - sym[:, None]) ** 2 / n0 - np.log(np.pi * n0)
+    log_rows = kernels.log_densities(sym[j] + np.sqrt(n0) * dz, None, sym, n0)
     sets = label_sets(int(np.log2(sym.size)))
-    return log_rows, _log_mean(log_rows[sets], 2), _log_mean(log_rows, 0), wk
+    return log_rows, kernels.log_subchannel(log_rows, sets), kernels.log_mean(log_rows, 0), wk
 
 
 def _awgn_snapshot(sym: np.ndarray, n0: float, gh: int, weight: float) -> Snapshot:
@@ -142,7 +134,7 @@ def iter_snapshots(base: ChannelModel, cons: Constellation) -> Iterator[Snapshot
 
 def _snapshot_moments(snap: Snapshot):
     """(m1, m2, cm) of one finite-output snapshot, bits."""
-    log_pbar = _log_mean(snap.log_mary, 0)
+    log_pbar = kernels.log_mean(snap.log_mary, 0)
     m = snap.log_mary.shape[0]
     out = []
     # information densities of the sub-channels (conditioning bit has mass
@@ -169,7 +161,7 @@ def _awgn_moment_pass(sym: np.ndarray, n0: float, gh: int, weight: float, m1, m2
     m = sym.size
     L = int(np.log2(m))
     arangeL = np.arange(L)
-    lab_bits = (np.arange(m)[:, None] >> (L - 1 - arangeL)[None, :]) & 1  # (m, L)
+    lab_bits = int_to_bits(np.arange(m), L)  # (m, L)
     for j in range(m):
         log_rows, log_sub, log_pbar, wk = _symbol_block(sym, j, n0, gh)
         isel = (log_sub[arangeL, lab_bits[j]] - log_pbar) / LN2  # i of the bit values sent

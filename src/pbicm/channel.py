@@ -152,7 +152,8 @@ def sample_batch(ch: ChannelModel, x: np.ndarray, rng: np.random.Generator):
     if isinstance(ch, Dmc):
         u = rng.random(x.shape)
         cdf = np.cumsum(ch.matrix, axis=1)
-        return (u[..., None] > cdf[x, :]).sum(axis=-1).astype(np.int64)
+        # no last threshold: rows may sum to 1 - 1e-9, and a draw above that is still output ny-1
+        return (u[..., None] > cdf[x, :-1]).sum(axis=-1).astype(np.int64)
     if isinstance(ch, Awgn):
         n = rng.normal(scale=np.sqrt(ch.n0 / 2), size=(*x.shape, 2))
         return x + n[..., 0] + 1j * n[..., 1]

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, infotheory
-from ._opt import exponent_max
 from .channel import Awgn, Dmc, awgn_from_snr, load_dmc, rayleigh_from_snr
 from .constellation import KINDS, make_constellation
 
@@ -111,7 +110,7 @@ def _exponent_point(item):
     unc = infotheory.random_coding_exponent(ev_u, rate)
     pb = infotheory.pbicm_exponent(base, cons, rate)
     pbn = infotheory.pbicm_exponent(base, cons, rate, normalized=True)
-    averaged = exponent_max(ev_w.e0, rate / cons.L, sphere=False)
+    averaged = infotheory.random_coding_exponent(ev_w, rate / cons.L)
     return (rate, unc, pb, pbn, averaged)
 
 
@@ -388,7 +387,12 @@ def main(argv=None) -> int:
     for name in _GLOBALS:
         if not hasattr(args, name):
             setattr(args, name, norm.get(name))
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, infotheory.QuadratureConvergenceError) as exc:
+        # bad input values and unconverged quadratures are user-facing
+        # errors, also when re-raised from a PBICM_WORKERS pool worker
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

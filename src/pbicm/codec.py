@@ -30,7 +30,7 @@ from .channel import (
     rayleigh_from_snr,
     sample_batch,
 )
-from .constellation import Constellation, make_constellation
+from .constellation import Constellation, bits_to_int, int_to_bits, make_constellation
 from .subchannel import llr_matrix
 
 MAX_CODEBOOK = 2**16
@@ -178,13 +178,6 @@ def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=-1).reshape(Z.shape[:-1])
 
 
-def _pack_labels(btilde: np.ndarray) -> np.ndarray:
-    """MSB-first pack of the level axis of a (..., L, n) bit array -> (..., n) ints."""
-    L = btilde.shape[-2]
-    weights = (1 << np.arange(L - 1, -1, -1)).astype(np.int64)
-    return np.tensordot(btilde.astype(np.int64), weights, axes=([-2], [0]))
-
-
 def _map_and_sample(base: ChannelModel, cons: Constellation, lab: np.ndarray, rng):
     """Send labels: Dmc rows for a Dmc base, constellation symbols otherwise."""
     x = cons.labels[lab] if isinstance(base, Dmc) else cons.symbols[lab]
@@ -200,7 +193,8 @@ def _llr_of_outputs(base: ChannelModel, cons: Constellation, out) -> np.ndarray:
 
 def _send(base: ChannelModel, cons: Constellation, cw, d, s, rng):
     """Dither, interleave, pack and map (..., L, n) codeword bits, then send them."""
-    return _map_and_sample(base, cons, _pack_labels(interleave(apply_dither(cw, d), s)), rng)
+    lab = bits_to_int(np.moveaxis(interleave(apply_dither(cw, d), s), -2, -1))
+    return _map_and_sample(base, cons, lab, rng)
 
 
 def _receive_llrs(base: ChannelModel, cons: Constellation, out, d, s) -> np.ndarray:
@@ -347,8 +341,7 @@ def _simulate_chunk(cfg: PbicmSimConfig, t: int, rng: np.random.Generator):
     out = _send(base, cons, code.codebook[msgs], d, s, rng)
     dec = _ml_decode_batch(code, _receive_llrs(base, cons, out, d, s))  # (t, L)
     lvl_err = dec != msgs
-    shifts = np.arange(code.message_bits - 1, -1, -1)
-    bit_err = (((dec ^ msgs)[..., None] >> shifts) & 1).sum(axis=(0, 2))  # per level
+    bit_err = int_to_bits(dec ^ msgs, code.message_bits).sum(axis=(0, 2))  # per level
 
     # Direct synthesis of the randomized binary channel, same code.
     msgs_w = rng.integers(0, code.M, size=t)

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: the LLR demapper and the Gallager integrand sums."""
+"""Hot numeric kernels: the Gaussian sub-channel law, the demapper and the Gallager sums."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,15 +13,44 @@ def warmup() -> None:
 
 
 # ---------------------------------------------------------------------------
-# LLR demapping: out[s, k] = log sum_{j in sets[s,0]} exp(e_jk)
-#                          - log sum_{j in sets[s,1]} exp(e_jk)
-# with e_jk = -|y_k - h_k x_j|^2 / n0, clamped to +-llr_max (natural log).
+# The Gaussian sub-channel law, read by the demapper and by the quadrature:
+# log p(y_k | h_k x_b) = -|y_k - h_k x_b|^2 / n0 - log(pi n0), and
+# log W_s(y_k | b) = log mean_{j in sets[s,b]} p(y_k | h_k x_j).
 # ---------------------------------------------------------------------------
 
 
-def _logsumexp_cols(e):
-    m = e.max(axis=1)
-    return m + np.log(np.exp(e - m[:, None]).sum(axis=1))
+def log_mean(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(mean(exp(a))) along ``axis``, shifted by the maximum for stability."""
+    peak = a.max(axis=axis, keepdims=True)
+    return np.squeeze(peak, axis) + np.log(np.exp(a - peak).mean(axis=axis))
+
+
+def log_densities(y, h, symbols, n0) -> np.ndarray:
+    """(m, N) log densities of outputs ``y`` given each symbol, in real arithmetic.
+
+    Row b is log p(y_k | h_k symbols[b]) for circularly symmetric complex
+    Gaussian noise of total variance n0.  ``h`` may be None (no fading).
+    """
+    y = np.asarray(y, dtype=complex).ravel()
+    sr, si = symbols.real[:, None], symbols.imag[:, None]
+    if h is None:
+        xr, xi = sr, si
+    else:
+        h = np.asarray(h, dtype=complex).ravel()
+        xr, xi = h.real * sr - h.imag * si, h.real * si + h.imag * sr
+    dr, di = y.real - xr, y.imag - xi
+    return -(dr * dr + di * di) * (1.0 / n0) - np.log(np.pi * n0)
+
+
+def log_subchannel(log_rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """(L, 2, N) log W_s(y|b) from (m, N) log rows; ``sets[s, b]``: labels with bit s = b.
+
+    One level at a time: one (L, 2, m/2, N) gather is ~107 MB for QAM64 at N = 35,000.
+    """
+    out = np.empty((sets.shape[0], 2, log_rows.shape[1]))
+    for s in range(sets.shape[0]):
+        out[s] = log_mean(log_rows[sets[s]], 1)
+    return out
 
 
 def llr_batch(y, h, symbols, n0, sets, llr_max) -> np.ndarray:
@@ -30,18 +59,8 @@ def llr_batch(y, h, symbols, n0, sets, llr_max) -> np.ndarray:
     ``sets[s, b]`` lists the label integers whose bit s equals b.  ``h`` may
     be None (no fading).  Returns an (L, N) float array in natural-log units.
     """
-    y = np.asarray(y, dtype=complex).ravel()
-    h = np.ones(y.size) + 0j if h is None else np.asarray(h, dtype=complex).ravel()
-    sr, si = symbols.real, symbols.imag
-    dr = y.real[:, None] - (h.real[:, None] * sr[None, :] - h.imag[:, None] * si[None, :])
-    di = y.imag[:, None] - (h.real[:, None] * si[None, :] + h.imag[:, None] * sr[None, :])
-    e = -(dr * dr + di * di) * (1.0 / n0)  # (N, M)
-    out = np.empty((sets.shape[0], y.size))
-    for s in range(sets.shape[0]):
-        a0 = _logsumexp_cols(e[:, sets[s, 0]])
-        a1 = _logsumexp_cols(e[:, sets[s, 1]])
-        out[s] = np.clip(a0 - a1, -llr_max, llr_max)
-    return out
+    ls = log_subchannel(log_densities(y, h, symbols, n0), sets)
+    return np.clip(ls[:, 0] - ls[:, 1], -llr_max, llr_max)
 
 
 # ---------------------------------------------------------------------------

@@ -99,20 +99,16 @@ def subchannel_prob(view: SubchannelView, y, b: int) -> float:
     return float(np.exp(-d2 / base.n0).mean() / (np.pi * base.n0))
 
 
+def subchannel_matrix(base: Dmc, cons: Constellation) -> np.ndarray:
+    """Every sub-channel law of a Dmc base at once: ``[s-1, b, y]`` is W_s(y|b), shape (L, 2, ny)."""
+    if base.nx != cons.m:
+        raise ValueError("Dmc input count must equal 2**L")
+    return base.matrix[cons.labels][label_sets(cons.L)].mean(axis=2)
+
+
 def llr_bit(base: ChannelModel, cons: Constellation, i: int, y) -> float:
     """Log-likelihood ratio ln(W_i(y|0) / W_i(y|1)) of bit position i."""
     _check_index(cons, i)
-    if isinstance(base, Dmc):
-        v = SubchannelView(base, cons, i)
-        p0 = v.prob(y, 0)
-        p1 = v.prob(y, 1)
-        if p0 == 0.0 and p1 == 0.0:
-            raise ValueError("output outside channel support")
-        if p1 == 0.0:
-            return LLR_MAX
-        if p0 == 0.0:
-            return -LLR_MAX
-        return float(np.clip(np.log(p0 / p1), -LLR_MAX, LLR_MAX))
     if isinstance(base, RayleighCsi):
         yv, h = y
         z = llr_matrix(base, cons, np.array([yv]), np.array([h]))
@@ -123,20 +119,14 @@ def llr_bit(base: ChannelModel, cons: Constellation, i: int, y) -> float:
 
 def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
     """All L sub-channel LLRs for a batch of outputs; shape (L, N)."""
-    sets = label_sets(cons.L)
     if isinstance(base, Dmc):
-        rows_by_label = base.matrix[cons.labels]
-        yv = np.asarray(y, dtype=np.int64).ravel()
-        out = np.empty((cons.L, yv.size))
-        for i in range(cons.L):
-            p0 = rows_by_label[sets[i, 0]][:, yv].mean(axis=0)
-            p1 = rows_by_label[sets[i, 1]][:, yv].mean(axis=0)
-            if np.any((p0 == 0) & (p1 == 0)):
-                raise ValueError("output outside channel support")
-            with np.errstate(divide="ignore"):
-                out[i] = np.clip(np.log(p0) - np.log(p1), -LLR_MAX, LLR_MAX)
-        return out
-    return kernels.llr_batch(y, h, cons.symbols, base.n0, sets, LLR_MAX)
+        w = subchannel_matrix(base, cons)[..., np.asarray(y, dtype=np.int64).ravel()]  # (L, 2, N)
+        if np.any((w[:, 0] == 0) & (w[:, 1] == 0)):
+            raise ValueError("output outside channel support")
+        with np.errstate(divide="ignore"):
+            lw = np.log(w)
+        return np.clip(lw[:, 0] - lw[:, 1], -LLR_MAX, LLR_MAX)
+    return kernels.llr_batch(y, h, cons.symbols, base.n0, label_sets(cons.L), LLR_MAX)
 
 
 def llr_wbar(base: ChannelModel, cons: Constellation, out: WbarOutput) -> float:
@@ -152,17 +142,9 @@ def wbar_as_dmc(base: Dmc, cons: Constellation) -> Dmc:
     """
     if not isinstance(base, Dmc):
         raise ValueError("wbar_as_dmc requires a Dmc base channel")
-    L, ny = cons.L, base.ny
-    rows_by_label = base.matrix[cons.labels]
-    sets = label_sets(L)
-    out = np.zeros((2, ny * L * 2))
-    for s in range(1, L + 1):
-        for b in (0, 1):
-            w_s = rows_by_label[sets[s - 1, b]].mean(axis=0)  # W_s(.|b)
-            for d in (0, 1):
-                cols = ((s - 1) * ny + np.arange(ny)) * 2 + d
-                out[b ^ d, cols] = w_s / (2 * L)
-    return Dmc(out)
+    w = subchannel_matrix(base, cons) / (2 * cons.L)  # (L, 2, ny)
+    # column (s, y, d) of input row c carries W_s(y | c xor d) / (2L)
+    return Dmc(np.stack([w, w[:, ::-1]], axis=-1).swapaxes(0, 1).reshape(2, -1))
 
 
 def wbar_to_csv(base: Dmc, cons: Constellation, path: str | Path) -> None:

@@ -128,6 +128,16 @@ def test_sample_batch_dmc_matches_matrix(rng):
         assert p > 0.01
 
 
+def test_sample_batch_dmc_stays_in_alphabet_when_row_sums_below_one():
+    class TopDraw:
+        def random(self, shape):
+            return np.full(shape, 1 - 1e-10)
+
+    ch = Dmc([[0.5, 0.5 - 5e-10], [0.5 - 5e-10, 0.5]])  # rows sum to 1 - 5e-10
+    y = sample_batch(ch, np.array([0, 1]), TopDraw())
+    np.testing.assert_array_equal(y, [1, 1])
+
+
 def test_make_rng_reproducible_and_stream_separated():
     a = make_rng(42, 1).random(8)
     b = make_rng(42, 1).random(8)

@@ -280,6 +280,18 @@ def test_missing_channel_inputs_error(tmp_path):
         main(["capacity", "--constellation", "QPSK", "--channel", "dmc"])
 
 
+def test_library_value_errors_exit_with_one_line(tmp_path):
+    with pytest.raises(SystemExit, match="too low"):
+        main(["capacity", "--channel", "awgn", "--snr-db", "-4000"])
+    spec = tmp_path / "sim.json"
+    spec.write_text(
+        '{"code": {"kind": "hamming74"}, "constellation": "QPSK",'
+        ' "channel": {"kind": "awgn", "snr_db": NaN}, "trials": 10}'
+    )
+    with pytest.raises(SystemExit, match="finite and positive"):
+        main(["simulate", "--sim-config", str(spec)])
+
+
 def test_verify_passes(tmp_path):
     out = tmp_path / "verify.json"
     rc = main(["verify", "--seed", "0", "--out", str(out)])

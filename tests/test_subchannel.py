@@ -136,14 +136,23 @@ def test_llr_matrix_matches_scalar_calls():
         assert z[0, k] == pytest.approx(llr_bit(ray, QPSK, 1, (y[k], h[k])), rel=1e-12)
 
 
-def test_llr_matrix_agrees_with_direct_ratio():
-    base = Awgn(0.6)
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh", "dmc"])
+def test_llr_matrix_agrees_with_direct_ratio(kind):
+    # the batched demapper against the scalar sub-channel law, for every base
     cons = make_constellation("QAM16")
     y = np.array([0.2 + 0.9j, -1.1 - 0.3j])
-    z = llr_matrix(base, cons, y)
+    h = np.array([0.8 - 0.5j, -0.3 + 1.2j])
+    if kind == "dmc":
+        base, batch = Dmc(random_stochastic(np.random.default_rng(5), 16, 7)), (np.arange(7),)
+    elif kind == "awgn":
+        base, batch = Awgn(0.6), (y,)
+    else:
+        base, batch = RayleighCsi(0.6), (y, h)
+    z = llr_matrix(base, cons, *batch)
+    outs = batch[0] if len(batch) == 1 else list(zip(*batch))
     for i in range(1, 5):
         v = SubchannelView(base, cons, i)
-        for k, yv in enumerate(y):
+        for k, yv in enumerate(outs):
             want = np.log(v.prob(yv, 0) / v.prob(yv, 1))
             assert z[i - 1, k] == pytest.approx(want, rel=1e-10)
 
