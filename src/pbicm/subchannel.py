@@ -120,7 +120,11 @@ def llr_bit(base: ChannelModel, cons: Constellation, i: int, y) -> float:
 def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
     """All L sub-channel LLRs for a batch of outputs; shape (L, N)."""
     if isinstance(base, Dmc):
-        w = subchannel_matrix(base, cons)[..., np.asarray(y, dtype=np.int64).ravel()]  # (L, 2, N)
+        w = subchannel_matrix(base, cons)
+        idx = np.asarray(y, dtype=np.int64).ravel()
+        if np.any((idx < 0) | (idx >= w.shape[-1])):
+            raise ValueError("output outside channel support")
+        w = w[..., idx]  # (L, 2, N)
         if np.any((w[:, 0] == 0) & (w[:, 1] == 0)):
             raise ValueError("output outside channel support")
         with np.errstate(divide="ignore"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbicm import _ensemble, dmc, infotheory
+from pbicm import _ensemble, _opt, dmc, infotheory
 from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, bsc
 from pbicm.constellation import make_constellation
 from pbicm.infotheory import (
@@ -215,6 +215,61 @@ def test_exponent_edge_cases():
         random_coding_exponent(ev, -0.1)
     with pytest.raises(ValueError):
         sphere_packing_exponent(ev, -0.1)
+
+
+def _refined_grid_max(f, lo=0.0, hi=1.0):
+    """max of f on [lo, hi]: a 101-point grid, then 21-point grids zoomed
+    around the best point until they are 1e-7 wide."""
+    best = None
+    while hi - lo > 1e-7:
+        rhos = np.linspace(lo, hi, 101 if best is None else 21)
+        vals = [f(r) for r in rhos]
+        k = int(np.argmax(vals))
+        if best is None or vals[k] > best:
+            best = vals[k]
+        lo, hi = rhos[max(k - 1, 0)], rhos[min(k + 1, len(rhos) - 1)]
+    return best
+
+
+@pytest.mark.parametrize(
+    "cons_name, base",
+    [("QPSK", RayleighCsi(Snr(5.0).n0)), ("QAM16", Awgn(Snr(8.0).n0))],
+    ids=["qpsk-rayleigh-5dB", "qam16-awgn-8dB"],
+)
+@pytest.mark.parametrize("kind", ["Unconstrained", "WbarCombined", "WachsmannAveraged"])
+def test_rho_search_against_refined_grid_and_its_cost(cons_name, base, kind):
+    # one rate on the straight-line segment, one with an interior maximizer and
+    # one above E0'(0); the search must match a refined grid maximum and stay
+    # within its evaluation budget (distinct rho values handed to E0)
+    ev = e0_evaluator(base, make_constellation(cons_name), kind)
+    r_crit = critical_rate(ev)
+    slope0 = ev.e0(1e-6) / 1e-6
+    assert 0 < r_crit < slope0
+    for rate, budget in ((0.5 * r_crit, 4), (0.5 * (r_crit + slope0), 12), (1.1 * slope0, 4)):
+        seen = set()
+
+        def counted(rho):
+            seen.add(rho)
+            return ev.e0(rho)
+
+        got = _opt.exponent_max(counted, rate, sphere=False)
+        want = max(0.0, _refined_grid_max(lambda r: ev.e0(r) - r * rate))
+        assert got == pytest.approx(want, abs=1e-8)
+        assert got == random_coding_exponent(ev, rate)
+        assert len(seen) <= budget, (rate, sorted(seen))
+
+
+@pytest.mark.parametrize("where", ["below", "at", "above", "beyond_capacity"])
+def test_sphere_packing_never_below_random_coding_on_awgn(where):
+    ev = e0_evaluator(Awgn(Snr(8.0).n0), make_constellation("QAM16"), "WbarCombined")
+    r_crit = critical_rate(ev)
+    rate = {"below": 0.5 * r_crit, "at": r_crit, "above": 1.2 * r_crit,
+            "beyond_capacity": 1.1 * ev.e0(1e-6) / 1e-6}[where]
+    rc = random_coding_exponent(ev, rate)
+    sp = sphere_packing_exponent(ev, rate)
+    assert sp >= rc
+    if where in ("above", "beyond_capacity"):
+        assert sp == rc
 
 
 def test_critical_rate_closed_form_bsc():
