@@ -1,22 +1,24 @@
 """Reduction of (base channel, labeling) pairs to weighted output grids.
 
-Every information quantity in this package is an expectation (or integral)
-over channel outputs.  For a Dmc the output alphabet is finite and exact.
-For AWGN each conditioning symbol gets its own Gauss-Hermite grid (a
-"Hermite block"): node sums under the plain weights are expectations given
-that symbol was sent, and importance weights turn the m blocks side by side
-into plain dy-integrals.  Rayleigh-with-CSI adds an outer Gauss-Laguerre
-expectation over the fading power |h|^2; the fading phase is folded out
-exactly (rotating y and h together leaves every conditional quantity
-unchanged because the noise is circularly symmetric), so each Laguerre node
-is an AWGN-like view with symbols scaled by |h|.
+Every information quantity in this package is an expectation over channel
+outputs, and every channel is reduced the same way.  Each label j gets a
+"block" of outputs whose weights make node sums expectations given j was
+sent; importance weights turn the m blocks side by side into plain sums over
+outputs.  A Dmc block is exact: the outputs row j can produce, weighted by
+W(y|x_j).  A Gaussian block is the Gauss-Hermite grid around symbol j.
+Rayleigh-with-CSI adds an outer trapezoid rule in u = ln|h|^2 (density
+e^(u - e^u), so equally spaced nodes on a fixed window converge
+exponentially at every SNR); the fading phase folds out exactly (rotating y
+and h together leaves every conditional quantity unchanged because the noise
+is circularly symmetric), so each node is a channel state with symbols
+scaled by |h|.  The other channels have one unit state.
 
 Moments are reduced block by block (``moment_table``, gated by node
-doubling).  E0 needs whole-grid sums for many rho values, so it works on
-stored "snapshots" (``get_ensemble``): per fading node, the blocks'
-log-density rows per label, sub-channel log densities, integration weights
-and a probability weight.  Both results, and the per-rho E0 integrals, are
-kept in one bounded cache keyed by (channel, constellation).
+doubling; a Dmc is exact).  E0 needs whole-grid sums for many rho values, so
+it works on stored "snapshots" (``get_ensemble``): per channel state, the
+blocks' log-density rows per label, sub-channel log densities, integration
+weights and a probability weight.  Both results, and the per-rho E0
+integrals, are kept in one bounded cache keyed by (channel, constellation).
 """
 from __future__ import annotations
 
@@ -26,15 +28,14 @@ from typing import Iterator
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.laguerre import laggauss
 
 from . import kernels
-from .channel import Awgn, ChannelModel, Dmc
+from .channel import Awgn, ChannelModel, Dmc, RayleighCsi
 from .constellation import Constellation, int_to_bits
 from .subchannel import label_sets, subchannel_matrix
 
 GH_NODES = 32  # Gauss-Hermite nodes per real dimension
-GL_NODES = 64  # Gauss-Laguerre nodes on |h|^2
+GL_NODES = 64  # trapezoid nodes in ln|h|^2
 CONVERGENCE_TOL = 1e-4  # node-doubling acceptance gate
 _MAX_DOUBLINGS = 3  # escalation cap before giving up
 
@@ -63,19 +64,14 @@ class Ensemble:
         return self.cons.L
 
 
-def _dmc_snapshot(base: Dmc, cons: Constellation) -> Snapshot:
-    with np.errstate(divide="ignore"):
-        return Snapshot(
-            1.0, np.ones(base.ny), np.log(subchannel_matrix(base, cons)), np.log(base.matrix[cons.labels])
-        )
-
-
 def _fading_nodes(base: ChannelModel, gl: int) -> tuple[np.ndarray, np.ndarray]:
-    """|h| and probability weight of each fading node (one unit node for AWGN)."""
-    if isinstance(base, Awgn):
+    """|h| and probability weight of each channel state (one unit state unless the base is Rayleigh)."""
+    if not isinstance(base, RayleighCsi):
         return np.ones(1), np.ones(1)
-    t, w = laggauss(gl)
-    return np.sqrt(t), w / w.sum()  # E over |h|^2 ~ Exp(1)
+    # trapezoid rule in u = ln|h|^2: the density of u under |h|^2 ~ Exp(1) is e^(u - e^u)
+    u = np.linspace(-40.0, 4.0, gl)
+    w = np.exp(u - np.exp(u))
+    return np.exp(u / 2), w / w.sum()
 
 
 @lru_cache(maxsize=8)
@@ -89,41 +85,57 @@ def _hermite_rule(gh: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _symbol_block(sym: np.ndarray, j: int, n0: float, gh: int):
-    """Symbol j's Hermite block: log densities on the grid around ``sym[j]``.
+def _label_rows(base: Dmc, cons: Constellation) -> np.ndarray:
+    """(m, ny) Dmc transition rows by label: row b is W(. | input carrying label b)."""
+    if base.nx != cons.m:
+        raise ValueError("Dmc input count must equal 2**L")
+    return base.matrix[cons.labels]
+
+
+def _symbol_block(base: ChannelModel, cons: Constellation, scale: float, j: int, gh: int):
+    """Label j's block: the outputs it can produce, with log densities there.
 
     Returns ``(log_rows, log_sub, log_pbar, wk)``: ``log_rows[b]`` is
-    log p(y | sym[b]) (m, K), ``log_sub`` the sub-channel log densities
+    log p(y | label b) (m, K), ``log_sub`` the sub-channel log densities
     (L, 2, K), ``log_pbar`` the log uniform-input output density (K,), and
     ``wk`` the plain weights under which node sums are expectations given
-    sym[j] was sent.
+    label j was sent.  A Gaussian block is the Hermite grid around
+    ``scale * symbols[j]``; a Dmc block is exact: the outputs that row j can
+    produce, weighted by W(y | j).
     """
+    if isinstance(base, Dmc):
+        rows = _label_rows(base, cons)
+        ys = np.flatnonzero(rows[j])
+        with np.errstate(divide="ignore"):  # other labels may not produce these outputs
+            log_rows, log_sub = np.log(rows[:, ys]), np.log(subchannel_matrix(base, cons)[..., ys])
+            return log_rows, log_sub, np.log(rows[:, ys].mean(axis=0)), rows[j, ys]
+    sym = scale * cons.symbols
     dz, wk = _hermite_rule(gh)
-    log_rows = kernels.log_densities(sym[j] + np.sqrt(n0) * dz, None, sym, n0)
-    sets = label_sets(int(np.log2(sym.size)))
-    return log_rows, kernels.log_subchannel(log_rows, sets), kernels.log_mean(log_rows, 0), wk
+    log_rows = kernels.log_densities(sym[j] + np.sqrt(base.n0) * dz, None, sym, base.n0)
+    return log_rows, kernels.log_subchannel(log_rows, label_sets(cons.L)), kernels.log_mean(log_rows, 0), wk
 
 
-def _awgn_snapshot(sym: np.ndarray, n0: float, gh: int, weight: float) -> Snapshot:
-    """The m Hermite blocks side by side, with importance weights wk / (m * pbar)."""
-    m, K = sym.size, gh * gh
-    log_rows = np.empty((m, m * K))
-    log_sub = np.empty((int(np.log2(m)), 2, m * K))
-    log_pbar = np.empty(m * K)
+def _snapshot(base: ChannelModel, cons: Constellation, scale: float, gh: int, weight: float) -> Snapshot:
+    """The m label blocks side by side, with importance weights wk / (m * pbar)."""
+    m = cons.m
+    # block sizes are known up front, so the blocks are written in place
+    sizes = np.count_nonzero(_label_rows(base, cons), axis=1) if isinstance(base, Dmc) else [gh * gh] * m
+    ends = np.cumsum([0, *sizes])
+    log_rows = np.empty((m, ends[-1]))
+    log_sub = np.empty((cons.L, 2, ends[-1]))
+    log_pbar = np.empty(ends[-1])
+    wk = np.empty(ends[-1])
     for j in range(m):
-        blk = slice(j * K, (j + 1) * K)
-        log_rows[:, blk], log_sub[..., blk], log_pbar[blk], wk = _symbol_block(sym, j, n0, gh)
-    int_w = np.exp(np.log(np.tile(wk, m) / m) - log_pbar)
+        blk = slice(ends[j], ends[j + 1])
+        log_rows[:, blk], log_sub[..., blk], log_pbar[blk], wk[blk] = _symbol_block(base, cons, scale, j, gh)
+    int_w = np.exp(np.log(wk / m) - log_pbar)
     return Snapshot(weight, int_w, log_sub, log_rows)
 
 
 def iter_snapshots(base: ChannelModel, cons: Constellation) -> Iterator[Snapshot]:
-    """Yield the conditional-channel snapshots of (base, cons) one at a time."""
-    if isinstance(base, Dmc):
-        yield _dmc_snapshot(base, cons)
-        return
+    """Yield the snapshots of (base, cons) one channel state at a time."""
     for scale, w in zip(*_fading_nodes(base, GL_NODES)):
-        yield _awgn_snapshot(scale * cons.symbols, base.n0, GH_NODES, float(w))
+        yield _snapshot(base, cons, scale, GH_NODES, float(w))
 
 
 # ---------------------------------------------------------------------------
@@ -132,51 +144,28 @@ def iter_snapshots(base: ChannelModel, cons: Constellation) -> Iterator[Snapshot
 # ---------------------------------------------------------------------------
 
 
-def _snapshot_moments(snap: Snapshot):
-    """(m1, m2, cm) of one finite-output snapshot, bits."""
-    log_pbar = kernels.log_mean(snap.log_mary, 0)
-    m = snap.log_mary.shape[0]
-    out = []
-    # information densities of the sub-channels (conditioning bit has mass
-    # 1/2) and of the full input (conditioning label has mass 1/m)
-    for ld, share, axes in ((snap.log_sub, 0.5, (1, 2)), (snap.log_mary, 1.0 / m, None)):
-        d = np.exp(ld)
-        with np.errstate(invalid="ignore"):
-            i = np.where(d > 0, (ld - log_pbar) / LN2, 0.0)
-        mass = d * snap.int_w * share
-        out.append(((mass * i).sum(axis=axes), (mass * i * i).sum(axis=axes)))
-    (m1, m2), cm = out
-    return m1, m2, np.array(cm)
+def _moment_pass(base: ChannelModel, cons: Constellation, gh: int, gl: int):
+    """Moments from one pass over every channel state, one label block at a time.
 
-
-def _awgn_moment_pass(sym: np.ndarray, n0: float, gh: int, weight: float, m1, m2, cm) -> None:
-    """Accumulate moments for one AWGN view, one Hermite block at a time.
-
-    Expectations conditioned on symbol j are integrated on j's own grid with
-    plain weights (the conditional density is the grid's weight function, so
+    Expectations conditioned on label j are summed on j's own block with
+    plain weights (the conditional law is the block's weight function, so
     the integrand is just the information density); this is far tighter than
     the importance-weighted union grid, and streaming blocks keeps memory at
     m x gh^2 regardless of node escalation.
     """
-    m = sym.size
-    L = int(np.log2(m))
+    m, L = cons.m, cons.L
     arangeL = np.arange(L)
     lab_bits = int_to_bits(np.arange(m), L)  # (m, L)
-    for j in range(m):
-        log_rows, log_sub, log_pbar, wk = _symbol_block(sym, j, n0, gh)
-        isel = (log_sub[arangeL, lab_bits[j]] - log_pbar) / LN2  # i of the bit values sent
-        io = (log_rows[j] - log_pbar) / LN2  # i of the symbol sent
-        m1 += weight * (isel @ wk) / m
-        m2 += weight * ((isel * isel) @ wk) / m
-        cm += weight * np.array([io @ wk, (io * io) @ wk]) / m
-
-
-def _moment_pass(base: ChannelModel, cons: Constellation, gh: int, gl: int):
-    if isinstance(base, Dmc):
-        return _snapshot_moments(_dmc_snapshot(base, cons))
-    m1, m2, cm = np.zeros(cons.L), np.zeros(cons.L), np.zeros(2)
+    m1, m2, cm = np.zeros(L), np.zeros(L), np.zeros(2)
     for scale, w in zip(*_fading_nodes(base, gl)):
-        _awgn_moment_pass(scale * cons.symbols, base.n0, gh, float(w), m1, m2, cm)
+        weight = float(w)
+        for j in range(m):
+            log_rows, log_sub, log_pbar, wk = _symbol_block(base, cons, scale, j, gh)
+            isel = (log_sub[arangeL, lab_bits[j]] - log_pbar) / LN2  # i of the bit values sent
+            io = (log_rows[j] - log_pbar) / LN2  # i of the label sent
+            m1 += weight * (isel @ wk) / m
+            m2 += weight * ((isel * isel) @ wk) / m
+            cm += weight * np.array([io @ wk, (io * io) @ wk]) / m
     return m1, m2, cm
 
 

@@ -116,6 +116,10 @@ def density(ch: ChannelModel, y, x) -> float:
     value is the conditional density given the provided h.
     """
     if isinstance(ch, Dmc):
+        if not 0 <= int(x) < ch.nx:
+            raise ValueError("input outside channel alphabet")
+        if not 0 <= int(y) < ch.ny:
+            raise ValueError("output outside channel support")
         return float(ch.matrix[int(x), int(y)])
     if isinstance(ch, Awgn):
         return float(np.exp(-np.abs(y - x) ** 2 / ch.n0) / (np.pi * ch.n0))

@@ -172,7 +172,12 @@ def cmd_ratebounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     path = Path(args.sim_config)
-    cfg = codec.PbicmSimConfig.from_json(path.read_text(), base_dir=path.parent)
+    try:
+        cfg = codec.PbicmSimConfig.from_json(path.read_text(), base_dir=path.parent)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if args.seed is not None:
         cfg.seed = args.seed
     res = codec.simulate(cfg)
@@ -369,26 +374,43 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_values(argv: list[str]) -> dict:
+    """Flag defaults from the ``--config FILE`` or ``--config=FILE`` file (the last one given)."""
+    path = None
+    for i, tok in enumerate(argv):
+        if tok == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+        elif tok.startswith("--config="):
+            path = tok.partition("=")[2]
+    if path is None:
+        return {}
+    try:
+        vals = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(vals, dict):
+        raise ValueError(f"{path}: expected a JSON object of flag defaults")
+    return vals
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    cfgvals: dict = {}
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 < len(argv):
-            cfgvals = json.loads(Path(argv[i + 1]).read_text())
-    norm = {k.replace("-", "_"): v for k, v in cfgvals.items()}
-    norm.pop("config", None)
-    ap = build_parser()
-    if norm:
-        ap.set_defaults(**norm)
-        for p in ap._pbicm_subparsers:  # type: ignore[attr-defined]
-            p.set_defaults(**norm)
-    args = ap.parse_args(argv)
-    for name in _GLOBALS:
-        if not hasattr(args, name):
-            setattr(args, name, norm.get(name))
     try:
+        norm = {k.replace("-", "_"): v for k, v in _config_values(argv).items()}
+        norm.pop("config", None)
+        ap = build_parser()
+        if norm:
+            ap.set_defaults(**norm)
+            for p in ap._pbicm_subparsers:  # type: ignore[attr-defined]
+                p.set_defaults(**norm)
+        args = ap.parse_args(argv)
+        for name in _GLOBALS:
+            if not hasattr(args, name):
+                setattr(args, name, norm.get(name))
         return args.fn(args)
+    except OSError as exc:
+        # an input file that cannot be read or an output that cannot be written
+        raise SystemExit(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)) from None
     except (ValueError, infotheory.QuadratureConvergenceError) as exc:
         # bad input values and unconverged quadratures are user-facing
         # errors, also when re-raised from a PBICM_WORKERS pool worker

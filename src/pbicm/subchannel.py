@@ -90,6 +90,8 @@ def subchannel_prob(view: SubchannelView, y, b: int) -> float:
     base, cons, i = view.base, view.cons, view.index
     rows, syms = _completion_inputs(cons, i, b)
     if isinstance(base, Dmc):
+        if not 0 <= int(y) < base.ny:
+            raise ValueError("output outside channel support")
         return float(base.matrix[rows, int(y)].mean())
     if isinstance(base, Awgn):
         d2 = np.abs(y - syms) ** 2

@@ -72,6 +72,20 @@ def test_density_dmc_is_matrix_entry():
     assert density(ch, 1, 0) == 0.1
 
 
+@pytest.mark.parametrize(
+    "y, x, message",
+    [
+        (-1, 0, "output outside channel support"),
+        (2, 0, "output outside channel support"),
+        (0, -1, "input outside channel alphabet"),
+        (0, 2, "input outside channel alphabet"),
+    ],
+)
+def test_density_dmc_rejects_index_outside_alphabet(y, x, message):
+    with pytest.raises(ValueError, match=message):
+        density(Dmc(np.array([[0.9, 0.1], [0.2, 0.8]])), y, x)
+
+
 def test_density_awgn_peak_and_normalization():
     ch = Awgn(1.0)
     assert density(ch, 1 + 1j, 1 + 1j) == pytest.approx(1 / np.pi, rel=1e-12)

@@ -292,6 +292,57 @@ def test_library_value_errors_exit_with_one_line(tmp_path):
         main(["simulate", "--sim-config", str(spec)])
 
 
+def test_config_equals_form_is_applied(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"constellation": "PSK8", "snr-db": 5.0}))
+    out = tmp_path / "o.csv"
+    main(["capacity", "--channel", "awgn", f"--config={cfg}", "--out", str(out)])
+    head, rows = run_csv(out)
+    assert head[3:] == ["c_sub_1_bits", "c_sub_2_bits", "c_sub_3_bits"]
+    assert float(rows[0][0]) == 5.0
+
+
+SIM_SPEC_WITHOUT_TRIALS = json.dumps(
+    {"code": {"kind": "hamming74"}, "constellation": "QPSK", "channel": {"kind": "awgn", "snr_db": 2.0}}
+)
+
+
+@pytest.mark.parametrize(
+    "command, content, named",
+    [
+        ("capacity", None, ["cfg.json"]),
+        ("capacity", '{"snr-db": 5', ["cfg.json"]),
+        ("simulate", None, ["sim.json"]),
+        ("simulate", SIM_SPEC_WITHOUT_TRIALS, ["sim.json", "'trials'"]),
+    ],
+    ids=["missing_config", "malformed_config", "missing_sim_config", "sim_config_without_trials"],
+)
+def test_bad_input_file_exits_with_one_line(tmp_path, command, content, named):
+    if command == "capacity":
+        path = tmp_path / "cfg.json"
+        argv = ["capacity", "--channel", "awgn", "--snr-db", "0", "--config", str(path)]
+    else:
+        path = tmp_path / "sim.json"
+        argv = ["simulate", "--sim-config", str(path)]
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    msg = err.value.code
+    assert isinstance(msg, str) and "\n" not in msg  # a string code exits with status 1
+    assert all(part in msg for part in named)
+
+
+def test_bad_input_file_exit_status_and_stderr(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbicm.cli", "simulate", "--sim-config", str(tmp_path / "none.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == [f"{tmp_path / 'none.json'}: No such file or directory"]
+
+
 def test_verify_passes(tmp_path):
     out = tmp_path / "verify.json"
     rc = main(["verify", "--seed", "0", "--out", str(out)])

@@ -32,6 +32,7 @@ from pbicm.infotheory import (
 from pbicm.subchannel import wbar_as_dmc
 from pbicm._ensemble import moment_table
 
+import oracle
 from conftest import dmc_in_label_order, random_stochastic
 
 BPSK = make_constellation("BPSK")
@@ -496,9 +497,11 @@ def test_moment_quadrature_default_is_converged():
 
 
 def test_moment_quadrature_stops_at_first_non_finite_pass(monkeypatch):
-    def nan_rule(n):
-        t, w = np.polynomial.laguerre.laggauss(n)
-        return t, np.full_like(w, np.nan)
+    real_nodes = _ensemble._fading_nodes
+
+    def nan_rule(base, gl):
+        h, w = real_nodes(base, gl)
+        return h, np.full_like(w, np.nan)
 
     passes = []
     real_pass = _ensemble._moment_pass
@@ -507,12 +510,38 @@ def test_moment_quadrature_stops_at_first_non_finite_pass(monkeypatch):
         passes.append(args[2:])
         return real_pass(*args)
 
-    monkeypatch.setattr(_ensemble, "laggauss", nan_rule)
+    monkeypatch.setattr(_ensemble, "_fading_nodes", nan_rule)
     monkeypatch.setattr(_ensemble, "_moment_pass", counted_pass)
     with pytest.raises(QuadratureConvergenceError, match="gh=32, gl=64") as err:
         moment_table(RayleighCsi(Snr(5.0).n0), BPSK)
     assert "not finite" in str(err.value)
     assert passes == [(32, 64)]
+
+
+@pytest.mark.parametrize("snr_db", [-30.0, -10.0, 0.0, 10.0, 20.0, 30.0, 50.0, 100.0])
+@pytest.mark.parametrize("fading", [False, True], ids=["awgn", "rayleigh"])
+@pytest.mark.parametrize("cons_name", ["BPSK", "QPSK"])
+def test_quadrature_matches_adaptive_oracle_or_raises(cons_name, fading, snr_db):
+    # a gate that compares two node counts can pass a value both counts
+    # miss; the oracle shares none of the library's rules.  Raising is an
+    # honest answer, a silent miss is not.
+    n0 = Snr(snr_db).n0
+    base, cons = (RayleighCsi if fading else Awgn)(n0), make_constellation(cons_name)
+    ref = oracle.reference(cons_name, n0, fading)
+    tol = _ensemble.CONVERGENCE_TOL
+    try:
+        rep = dispersion_report(base, cons)
+    except QuadratureConvergenceError:
+        pass
+    else:
+        assert capacity_cm(base, cons) == pytest.approx(ref["c_cm"], abs=tol)
+        assert capacity_pbicm(base, cons) == pytest.approx(ref["c_pbicm"], abs=tol)
+        for c, v in rep.per_subchannel:
+            assert v + c * c == pytest.approx(ref["m2_sub"], abs=tol)
+    for kind, key in (("WbarCombined", "e0_wbar"), ("Unconstrained", "e0_unconstrained")):
+        ev = e0_evaluator(base, cons, kind)
+        for rho, want in ref[key].items():
+            assert ev.e0(rho) == pytest.approx(want, abs=tol), (kind, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,13 @@ def test_dmc_llr_rejects_output_index_outside_alphabet(y):
         llr_bit(ch, BPSK, 1, np.atleast_1d(y)[-1])
 
 
+@pytest.mark.parametrize("y", [-1, 2])
+def test_dmc_subchannel_prob_rejects_output_index_outside_alphabet(y):
+    view = SubchannelView(Dmc(np.array([[0.9, 0.1], [0.2, 0.8]])), BPSK, 1)
+    with pytest.raises(ValueError, match="output outside channel support"):
+        view.prob(y, 0)
+
+
 def test_llr_matrix_matches_scalar_calls():
     rng = make_rng(2)
     for base, outs in [
