@@ -6,6 +6,8 @@ outputs, and every channel is reduced the same way.  Each label j gets a
 sent; importance weights turn the m blocks side by side into plain sums over
 outputs.  A Dmc block is exact: the outputs row j can produce, weighted by
 W(y|x_j).  A Gaussian block is the Gauss-Hermite grid around symbol j.
+Either way one sum, ``kernels.log_subchannel``, turns every label's log
+density at the block's outputs into the sub-channel laws.
 Rayleigh-with-CSI adds an outer trapezoid rule in u = ln|h|^2 (density
 e^(u - e^u), so equally spaced nodes on a fixed window converge
 exponentially at every SNR); the fading phase folds out exactly (rotating y
@@ -32,7 +34,7 @@ from numpy.polynomial.hermite import hermgauss
 from . import kernels
 from .channel import Awgn, ChannelModel, Dmc, RayleighCsi
 from .constellation import Constellation, int_to_bits
-from .subchannel import label_sets, subchannel_matrix
+from .subchannel import dmc_log_rows, label_sets
 
 GH_NODES = 32  # Gauss-Hermite nodes per real dimension
 GL_NODES = 64  # trapezoid nodes in ln|h|^2
@@ -85,13 +87,6 @@ def _hermite_rule(gh: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _label_rows(base: Dmc, cons: Constellation) -> np.ndarray:
-    """(m, ny) Dmc transition rows by label: row b is W(. | input carrying label b)."""
-    if base.nx != cons.m:
-        raise ValueError("Dmc input count must equal 2**L")
-    return base.matrix[cons.labels]
-
-
 def _symbol_block(base: ChannelModel, cons: Constellation, scale: float, j: int, gh: int):
     """Label j's block: the outputs it can produce, with log densities there.
 
@@ -104,14 +99,13 @@ def _symbol_block(base: ChannelModel, cons: Constellation, scale: float, j: int,
     produce, weighted by W(y | j).
     """
     if isinstance(base, Dmc):
-        rows = _label_rows(base, cons)
-        ys = np.flatnonzero(rows[j])
-        with np.errstate(divide="ignore"):  # other labels may not produce these outputs
-            log_rows, log_sub = np.log(rows[:, ys]), np.log(subchannel_matrix(base, cons)[..., ys])
-            return log_rows, log_sub, np.log(rows[:, ys].mean(axis=0)), rows[j, ys]
-    sym = scale * cons.symbols
-    dz, wk = _hermite_rule(gh)
-    log_rows = kernels.log_densities(sym[j] + np.sqrt(base.n0) * dz, None, sym, base.n0)
+        log_rows = dmc_log_rows(base, cons)
+        ys = np.flatnonzero(log_rows[j] > -np.inf)
+        log_rows, wk = log_rows[:, ys], base.matrix[cons.labels[j], ys]
+    else:
+        sym = scale * cons.symbols
+        dz, wk = _hermite_rule(gh)
+        log_rows = kernels.log_densities(sym[j] + np.sqrt(base.n0) * dz, None, sym, base.n0)
     return log_rows, kernels.log_subchannel(log_rows, label_sets(cons.L)), kernels.log_mean(log_rows, 0), wk
 
 
@@ -126,7 +120,7 @@ def _snapshot(base: ChannelModel, cons: Constellation, scale: float, gh: int, we
     """
     m = cons.m
     # block sizes are known up front, so the blocks are written in place
-    sizes = np.count_nonzero(_label_rows(base, cons), axis=1) if isinstance(base, Dmc) else [gh * gh] * m
+    sizes = np.count_nonzero(dmc_log_rows(base, cons) > -np.inf, axis=1) if isinstance(base, Dmc) else [gh * gh] * m
     ends = np.cumsum([0, *sizes])
     log_rows = np.empty((m, ends[-1]))
     log_sub = np.empty((cons.L, 2, ends[-1]))

@@ -171,22 +171,23 @@ def load_dmc(path: str | Path) -> Dmc:
     """Load a Dmc matrix from a .json or .csv file.
 
     JSON: object with keys ``nx``, ``ny`` and row-major ``matrix``.
-    CSV: header line ``nx,ny`` followed by nx rows of ny probabilities.
+    CSV: header line ``nx,ny`` followed by exactly nx rows of ny probabilities.
     """
     path = Path(path)
     if path.suffix == ".json":
         obj = json.loads(path.read_text())
-        m = np.asarray(obj["matrix"], dtype=float).reshape(int(obj["nx"]), int(obj["ny"]))
-        return Dmc(m)
-    if path.suffix == ".csv":
+        nx, ny, values = int(obj["nx"]), int(obj["ny"]), np.ravel(obj["matrix"])
+        fits = values.size == nx * ny
+    elif path.suffix == ".csv":
         lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
         nx, ny = (int(v) for v in lines[0].split(","))
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1 : 1 + nx]]
-        m = np.asarray(rows, dtype=float)
-        if m.shape != (nx, ny):
-            raise ValueError("Dmc file shape does not match header")
-        return Dmc(m)
-    raise ValueError(f"unsupported Dmc file type: {path.suffix!r}")
+        values = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        fits = [len(r) for r in values] == [ny] * nx
+    else:
+        raise ValueError(f"unsupported Dmc file type: {path.suffix!r}")
+    if not fits:
+        raise ValueError("Dmc file shape does not match header")
+    return Dmc(np.asarray(values, dtype=float).reshape(nx, ny))
 
 
 def save_dmc(ch: Dmc, path: str | Path) -> None:

@@ -31,7 +31,7 @@ from .channel import (
     sample_batch,
 )
 from .constellation import Constellation, bits_to_int, int_to_bits, make_constellation
-from .subchannel import llr_matrix
+from .subchannel import check_labeling, llr_matrix
 
 MAX_CODEBOOK = 2**16
 _CHUNK = 8192
@@ -51,8 +51,8 @@ class BinaryCode:
 
     def __post_init__(self):
         cb = np.ascontiguousarray(self.codebook, dtype=np.uint8)
-        if cb.ndim != 2 or cb.shape[0] < 2:
-            raise ValueError("codebook must be (M, n) with M >= 2")
+        if cb.ndim != 2 or cb.shape[0] < 2 or cb.shape[1] < 1:
+            raise ValueError(f"codebook must be (M, n) with M >= 2 and blocklength n >= 1, got shape {cb.shape}")
         if cb.shape[0] > MAX_CODEBOOK:
             raise ValueError(f"codebook larger than {MAX_CODEBOOK} codewords")
         if cb.max() > 1:
@@ -269,8 +269,7 @@ class PbicmSimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if isinstance(self.channel, Dmc) and self.channel.nx != self.cons.m:
-            raise ValueError("Dmc input count must equal 2**L")
+        check_labeling(self.channel, self.cons)
 
     @classmethod
     def from_json(cls, text: str, base_dir: str | Path = ".") -> "PbicmSimConfig":

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: the Gaussian sub-channel law, the demapper and the Gallager sums."""
+"""Hot numeric kernels: the sub-channel law, the Gaussian demapper and the Gallager sums."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,16 +13,18 @@ def warmup() -> None:
 
 
 # ---------------------------------------------------------------------------
-# The Gaussian sub-channel law, read by the demapper and by the quadrature:
-# log p(y_k | h_k x_b) = -|y_k - h_k x_b|^2 / n0 - log(pi n0), and
-# log W_s(y_k | b) = log mean_{j in sets[s,b]} p(y_k | h_k x_j).
+# The sub-channel law of every channel, read by the demapper and the quadrature:
+# log W_s(y_k | b) = log mean_{j in sets[s,b]} p(y_k | x_j) from (m, N) log rows,
+# -|y_k - h_k x_j|^2 / n0 - log(pi n0) (Gaussian) or log W(y_k | x_j) (Dmc).
 # ---------------------------------------------------------------------------
 
 
 def log_mean(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(mean(exp(a))) along ``axis``, shifted by the maximum for stability."""
+    """log(mean(exp(a))) along ``axis``, shifted by the maximum for stability; -inf on a line that is all -inf."""
     peak = a.max(axis=axis, keepdims=True)
-    return np.squeeze(peak, axis) + np.log(np.exp(a - peak).mean(axis=axis))
+    peak[peak == -np.inf] = 0.0  # an all -inf line would shift to -inf - -inf = NaN
+    with np.errstate(divide="ignore"):
+        return np.squeeze(peak, axis) + np.log(np.exp(a - peak).mean(axis=axis))
 
 
 def log_densities(y, h, symbols, n0) -> np.ndarray:

@@ -42,6 +42,19 @@ def _check_index(cons: Constellation, i: int) -> None:
         raise ValueError(f"sub-channel index must be in 1..{cons.L}, got {i}")
 
 
+def check_labeling(base: ChannelModel, cons: Constellation) -> None:
+    """A Dmc base needs one input, a row of its matrix, per label."""
+    if isinstance(base, Dmc) and base.nx != cons.m:
+        raise ValueError("Dmc input count must equal 2**L")
+
+
+def dmc_log_rows(base: Dmc, cons: Constellation) -> np.ndarray:
+    """(m, ny) log transition rows by label: row b is log W(. | input carrying label b)."""
+    check_labeling(base, cons)
+    with np.errstate(divide="ignore"):  # -inf: outputs the input cannot produce
+        return np.log(base.matrix[cons.labels])
+
+
 @dataclass(frozen=True)
 class WbarOutput:
     """Output triple (y, s, d) of the randomized binary channel."""
@@ -67,8 +80,7 @@ class SubchannelView:
 
     def __post_init__(self):
         _check_index(self.cons, self.index)
-        if isinstance(self.base, Dmc) and self.base.nx != self.cons.m:
-            raise ValueError("Dmc input count must equal 2**L")
+        check_labeling(self.base, self.cons)
 
     def prob(self, y, b: int) -> float:
         return subchannel_prob(self, y, b)
@@ -77,18 +89,13 @@ class SubchannelView:
         return llr_bit(self.base, self.cons, self.index, y)
 
 
-def _completion_inputs(cons: Constellation, i: int, b: int):
-    """Channel inputs for all completions of bit i = b (Dmc rows or symbols)."""
-    labs = label_sets(cons.L)[i - 1, b]
-    return cons.labels[labs], cons.symbols[labs]
-
-
 def subchannel_prob(view: SubchannelView, y, b: int) -> float:
     """W_i(y|b): equiprobable average of the base law over bit completions."""
     if b not in (0, 1):
         raise ValueError("conditioning bit must be 0 or 1")
     base, cons, i = view.base, view.cons, view.index
-    rows, syms = _completion_inputs(cons, i, b)
+    labs = label_sets(cons.L)[i - 1, b]  # every completion of bit i = b
+    rows, syms = cons.labels[labs], cons.symbols[labs]
     if isinstance(base, Dmc):
         if not 0 <= int(y) < base.ny:
             raise ValueError("output outside channel support")
@@ -99,13 +106,6 @@ def subchannel_prob(view: SubchannelView, y, b: int) -> float:
         yv, h = y
         d2 = np.abs(yv - h * syms) ** 2
     return float(np.exp(-d2 / base.n0).mean() / (np.pi * base.n0))
-
-
-def subchannel_matrix(base: Dmc, cons: Constellation) -> np.ndarray:
-    """Every sub-channel law of a Dmc base at once: ``[s-1, b, y]`` is W_s(y|b), shape (L, 2, ny)."""
-    if base.nx != cons.m:
-        raise ValueError("Dmc input count must equal 2**L")
-    return base.matrix[cons.labels][label_sets(cons.L)].mean(axis=2)
 
 
 def llr_bit(base: ChannelModel, cons: Constellation, i: int, y) -> float:
@@ -122,16 +122,14 @@ def llr_bit(base: ChannelModel, cons: Constellation, i: int, y) -> float:
 def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
     """All L sub-channel LLRs for a batch of outputs; shape (L, N)."""
     if isinstance(base, Dmc):
-        w = subchannel_matrix(base, cons)
         idx = np.asarray(y, dtype=np.int64).ravel()
-        if np.any((idx < 0) | (idx >= w.shape[-1])):
+        if np.any((idx < 0) | (idx >= base.ny)):
             raise ValueError("output outside channel support")
-        w = w[..., idx]  # (L, 2, N)
-        if np.any((w[:, 0] == 0) & (w[:, 1] == 0)):
+        log_rows = dmc_log_rows(base, cons)[:, idx]
+        if np.any(np.all(log_rows == -np.inf, axis=0)):  # no input produces the output
             raise ValueError("output outside channel support")
-        with np.errstate(divide="ignore"):
-            lw = np.log(w)
-        return np.clip(lw[:, 0] - lw[:, 1], -LLR_MAX, LLR_MAX)
+        ls = kernels.log_subchannel(log_rows, label_sets(cons.L))
+        return np.clip(ls[:, 0] - ls[:, 1], -LLR_MAX, LLR_MAX)
     return kernels.llr_batch(y, h, cons.symbols, base.n0, label_sets(cons.L), LLR_MAX)
 
 
@@ -148,7 +146,7 @@ def wbar_as_dmc(base: Dmc, cons: Constellation) -> Dmc:
     """
     if not isinstance(base, Dmc):
         raise ValueError("wbar_as_dmc requires a Dmc base channel")
-    w = subchannel_matrix(base, cons) / (2 * cons.L)  # (L, 2, ny)
+    w = np.exp(kernels.log_subchannel(dmc_log_rows(base, cons), label_sets(cons.L))) / (2 * cons.L)  # (L, 2, ny)
     # column (s, y, d) of input row c carries W_s(y | c xor d) / (2L)
     return Dmc(np.stack([w, w[:, ::-1]], axis=-1).swapaxes(0, 1).reshape(2, -1))
 

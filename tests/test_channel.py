@@ -180,3 +180,18 @@ def test_dmc_file_round_trip(tmp_path):
         load_dmc(tmp_path / "ch.txt")
     with pytest.raises(ValueError):
         save_dmc(ch, tmp_path / "ch.txt")
+
+
+def test_load_dmc_csv_rejects_rows_beyond_header(tmp_path):
+    # a third row used to be dropped, loading a 2 x 2 channel silently
+    f = tmp_path / "ch.csv"
+    f.write_text("2,2\n0.9,0.1\n0.1,0.9\n0.5,0.5\n")
+    with pytest.raises(ValueError, match="Dmc file shape does not match header"):
+        load_dmc(f)
+
+
+def test_load_dmc_json_rejects_matrix_of_wrong_length(tmp_path):
+    f = tmp_path / "ch.json"
+    f.write_text('{"nx": 2, "ny": 2, "matrix": [0.9, 0.1, 0.1, 0.9, 0.5, 0.5]}')
+    with pytest.raises(ValueError, match="Dmc file shape does not match header"):
+        load_dmc(f)

@@ -48,6 +48,19 @@ def test_code_validation():
         repetition(0)
 
 
+def test_code_rejects_zero_blocklength():
+    with pytest.raises(ValueError, match="blocklength"):
+        random_codebook(0, 4, 1)
+    cfg = {
+        "code": {"kind": "random", "n": 0, "M": 4},
+        "constellation": "QPSK",
+        "channel": {"kind": "awgn", "snr_db": 5.0},
+        "trials": 10,
+    }
+    with pytest.raises(ValueError, match="blocklength"):
+        PbicmSimConfig.from_json(json.dumps(cfg))
+
+
 def test_repetition_and_rate():
     c = repetition(5)
     assert c.M == 2 and c.n == 5 and c.rate == pytest.approx(0.2)

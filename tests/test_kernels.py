@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,26 @@ def test_llr_no_fading_matches_unit_h():
     a = kernels.llr_batch(y, None, cons.symbols, 0.5, sets, LLR_MAX)
     b = kernels.llr_batch(y, np.ones_like(y), cons.symbols, 0.5, sets, LLR_MAX)
     np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+def test_log_mean_of_all_minus_infinity_is_minus_infinity():
+    # a Dmc output that no label of a sub-channel set produces
+    a = np.array([[-np.inf, 0.0, -np.inf], [-np.inf, -1.0, -2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.log_mean(a, 0)
+        assert kernels.log_mean(np.full(4, -np.inf), 0) == -np.inf
+    assert got[0] == -np.inf
+    assert got[1] == pytest.approx(np.log((1 + np.exp(-1.0)) / 2), rel=1e-15)
+    assert got[2] == pytest.approx(np.log(np.exp(-2.0) / 2), rel=1e-15)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_log_mean_of_finite_input_is_the_shifted_formula_bit_for_bit(axis):
+    a = make_rng(5).normal(scale=30.0, size=(16, 257))
+    peak = a.max(axis=axis, keepdims=True)
+    want = np.squeeze(peak, axis) + np.log(np.exp(a - peak).mean(axis=axis))
+    np.testing.assert_array_equal(kernels.log_mean(a, axis), want)
 
 
 def test_e0_integral_handles_minus_infinity():

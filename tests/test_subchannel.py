@@ -75,6 +75,22 @@ def test_subchannel_prob_validates():
         SubchannelView(Dmc(random_stochastic(np.random.default_rng(1), 2, 3)), QPSK, 1)
 
 
+def test_dmc_input_count_is_checked_once_everywhere():
+    from pbicm.codec import PbicmSimConfig, hamming74
+    from pbicm.infotheory import capacity_pbicm
+
+    ch = Dmc(random_stochastic(np.random.default_rng(2), 8, 3))
+    for call in (
+        lambda: SubchannelView(ch, QPSK, 1),
+        lambda: PbicmSimConfig(hamming74(), QPSK, ch, trials=10),
+        lambda: llr_matrix(ch, QPSK, np.array([0])),
+        lambda: wbar_as_dmc(ch, QPSK),
+        lambda: capacity_pbicm(ch, QPSK),
+    ):
+        with pytest.raises(ValueError, match=r"Dmc input count must equal 2\*\*L"):
+            call()
+
+
 def test_awgn_subchannel_prob_is_mixture_of_gaussians():
     ch = Awgn(0.5)
     y = 0.3 + 0.1j
