@@ -19,8 +19,10 @@ Moments are reduced block by block (``moment_table``, gated by node
 doubling; a Dmc is exact).  E0 needs whole-grid sums for many rho values, so
 it works on stored "snapshots" (``get_ensemble``): per channel state, the
 blocks' log-density rows per label, sub-channel log densities, integration
-weights and a probability weight.  Both results, and the per-rho E0
-integrals, are kept in one bounded cache keyed by (channel, constellation).
+weights and a probability weight; an ensemble also keeps its per-rho E0
+integrals.  Channels and constellations are values, so
+``functools.lru_cache`` keys the ensembles (here) and the gated moments
+(``infotheory._moments``) by the pair itself, 8 pairs each.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from . import kernels
-from .channel import Awgn, ChannelModel, Dmc, RayleighCsi
+from .channel import ChannelModel, Dmc, RayleighCsi
 from .constellation import Constellation, int_to_bits
 from .subchannel import dmc_log_rows, label_sets
 
@@ -60,10 +62,35 @@ class Snapshot:
 class Ensemble:
     cons: Constellation
     snapshots: list[Snapshot]
+    sub_e0: dict[float, np.ndarray] = field(default_factory=dict)  # rho -> 2**-E0_s(rho), all s
+    mary_e0: dict[float, float] = field(default_factory=dict)  # rho -> 2**-E0(rho), full input
 
     @property
     def L(self) -> int:
         return self.cons.L
+
+    def sub_integrals(self, rho: float) -> np.ndarray:
+        """2**-E0_s(rho) for every sub-channel, computed once per rho."""
+        v = self.sub_e0.get(rho)
+        if v is None:
+            v = np.zeros(self.L)
+            for snap in self.snapshots:
+                for s in range(self.L):
+                    v[s] += snap.weight * kernels.e0_binary_integral(
+                        snap.log_sub[s, 0], snap.log_sub[s, 1], snap.int_w, rho
+                    )
+            self.sub_e0[rho] = v
+        return v
+
+    def mary_integral(self, rho: float) -> float:
+        """2**-E0(rho) of the full equiprobable input, computed once per rho."""
+        v = self.mary_e0.get(rho)
+        if v is None:
+            v = 0.0
+            for snap in self.snapshots:
+                v += snap.weight * kernels.e0_mary_integral(snap.log_mary, snap.int_w, rho)
+            self.mary_e0[rho] = v
+        return v
 
 
 def _fading_nodes(base: ChannelModel, gl: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +169,12 @@ def iter_snapshots(base: ChannelModel, cons: Constellation) -> Iterator[Snapshot
         yield _snapshot(base, cons, scale, GH_NODES, float(w))
 
 
+@lru_cache(maxsize=8)
+def get_ensemble(base: ChannelModel, cons: Constellation) -> Ensemble:
+    """Stored snapshot collection for (base, cons); the 8 most recently used are kept."""
+    return Ensemble(cons, list(iter_snapshots(base, cons)))
+
+
 # ---------------------------------------------------------------------------
 # Streaming information-density moments (first and second, bits) with a
 # node-doubling convergence gate for continuous channels.
@@ -211,54 +244,3 @@ def moment_table(base: ChannelModel, cons: Constellation, *, gh: int = GH_NODES,
     raise QuadratureConvergenceError(
         f"node-doubling check failed at gh={gh}, gl={gl}: max shift {worst:.3e} > {CONVERGENCE_TOL:g}"
     )
-
-
-# ---------------------------------------------------------------------------
-# One bounded cache per (channel, constellation) pair.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CacheEntry:
-    """Everything computed for one (channel, constellation) pair."""
-
-    moments: tuple | None = None  # gated moment_table result
-    ensemble: Ensemble | None = None
-    sub_e0: dict[float, np.ndarray] = field(default_factory=dict)  # rho -> 2**-E0_s(rho), all s
-    mary_e0: dict[float, float] = field(default_factory=dict)  # rho -> 2**-E0(rho), full input
-
-
-_CACHE: dict[tuple, CacheEntry] = {}
-_CACHE_MAX = 8
-
-
-def _channel_key(base: ChannelModel) -> tuple:
-    if isinstance(base, Dmc):
-        return ("dmc", base.matrix.shape, base.matrix.tobytes())
-    if isinstance(base, Awgn):
-        return ("awgn", base.n0)
-    return ("ray", base.n0)
-
-
-def _cons_key(cons: Constellation) -> tuple:
-    return (cons.name, cons.L, cons.points.tobytes(), cons.labels.tobytes())
-
-
-def cache_entry(base: ChannelModel, cons: Constellation) -> CacheEntry:
-    """The cache entry of (base, cons), created on a miss; least recently used goes first."""
-    key = (_channel_key(base), _cons_key(cons))
-    entry = _CACHE.pop(key, None)
-    if entry is None:
-        entry = CacheEntry()
-        if len(_CACHE) >= _CACHE_MAX:
-            _CACHE.pop(next(iter(_CACHE)))
-    _CACHE[key] = entry
-    return entry
-
-
-def get_ensemble(base: ChannelModel, cons: Constellation) -> Ensemble:
-    """Stored snapshot collection for (base, cons), built once per cache entry."""
-    entry = cache_entry(base, cons)
-    if entry.ensemble is None:
-        entry.ensemble = Ensemble(cons, list(iter_snapshots(base, cons)))
-    return entry.ensemble

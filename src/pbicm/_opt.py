@@ -15,7 +15,11 @@ rho, so f is too, and one search serves random coding and sphere packing:
   [a + DELTA, b - DELTA], to about XTOL in rho.  It starts from the
   maximizer of the cubic through the probed end values and slopes, with
   the two inner probes as its earlier points.  At an interior maximum the
-  value error is about |E0''| * XTOL**2.
+  value error is about |E0''| * XTOL**2.  It also stops once the chords
+  from the best point to the bracket ends bound any further gain by
+  FTOL * max(1, |f|), the rounding of f: on a near-flat f, where
+  |E0''| * XTOL**2 is below that rounding, the parabolic steps would only
+  fit noise.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ import sys
 RHO_MAX = 100.0  # sphere-packing search cap; maximizer at the cap => +inf
 DELTA = 1e-6  # boundary probe offset in rho
 XTOL = 1e-7  # Brent's absolute tolerance in rho
+FTOL = 1e-14  # relative rounding of f: a smaller possible gain stops the search
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 
@@ -35,13 +40,20 @@ def _brent_max(f, a: float, b: float, x: float) -> float:
 
     The ends a and b are the two earlier points of the first parabola.
     """
-    (x, fx), (w, fw), (v, fv) = sorted(((x, f(x)), (a, f(a)), (b, f(b))), key=lambda p: -p[1])
+    fa, fb = f(a), f(b)
+    (x, fx), (w, fw), (v, fv) = sorted(((x, f(x)), (a, fa), (b, fb)), key=lambda p: -p[1])
     d = e = b - a
     while True:
         m = 0.5 * (a + b)
         tol = _SQRT_EPS * abs(x) + XTOL
         if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
             return fx
+        if a < x < b:
+            # a concave f lies below each chord through x extended past x, so
+            # no point of [a, b] exceeds fx by more than this
+            gain = max((fx - fb) * (x - a) / (b - x), (fx - fa) * (b - x) / (x - a))
+            if gain <= FTOL * max(1.0, abs(fx)):
+                return fx
         parabolic = False
         if abs(e) > tol:
             # vertex of the parabola through (v, fv), (w, fw), (x, fx) at x + p/q
@@ -66,15 +78,15 @@ def _brent_max(f, a: float, b: float, x: float) -> float:
         fu = f(u)
         if fu >= fx:
             if u < x:
-                b = x
+                b, fb = x, fx
             else:
-                a = x
+                a, fa = x, fx
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
             if u < x:
-                a = u
+                a, fa = u, fu
             else:
-                b = u
+                b, fb = u, fu
             if fu >= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
@@ -107,7 +119,7 @@ def exponent_max(e0_fn, rate: float, sphere: bool) -> float:
     it does not, the larger of the rho = 1 value and a search of
     [1, RHO_MAX]; either way it is never below the random-coding value.
     The error is at most |E0''| * DELTA**2 / 2 at a boundary maximum and
-    about |E0''| * XTOL**2 at an interior one.
+    about |E0''| * XTOL**2, or FTOL * max(1, |f|), at an interior one.
     """
     obj = functools.cache(lambda rho: e0_fn(rho) - rho * rate)
     if sphere and obj(RHO_MAX) >= obj(RHO_MAX - DELTA):

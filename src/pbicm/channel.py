@@ -33,19 +33,33 @@ class Snr:
             raise ValueError(f"SNR of {self.value_db} dB is too low: noise level overflows") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dmc:
-    """Discrete memoryless channel; inputs are row indices of ``matrix``."""
+    """Discrete memoryless channel; inputs are row indices of ``matrix``.
+
+    A value: ``matrix`` is a read-only copy of the argument, and equality
+    and hash follow its class, shape and bytes.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("Dmc matrix must be 2-D")
         if np.any(m < 0) or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("Dmc matrix must be row-stochastic")
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    def _key(self) -> tuple:
+        return type(self), self.matrix.shape, self.matrix.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Dmc) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def nx(self) -> int:
@@ -170,14 +184,16 @@ def sample_batch(ch: ChannelModel, x: np.ndarray, rng: np.random.Generator):
 def load_dmc(path: str | Path) -> Dmc:
     """Load a Dmc matrix from a .json or .csv file.
 
-    JSON: object with keys ``nx``, ``ny`` and row-major ``matrix``.
+    JSON: object with keys ``nx``, ``ny`` and ``matrix``, either a flat
+    row-major list of nx*ny probabilities or nx nested rows of ny.
     CSV: header line ``nx,ny`` followed by exactly nx rows of ny probabilities.
     """
     path = Path(path)
     if path.suffix == ".json":
         obj = json.loads(path.read_text())
-        nx, ny, values = int(obj["nx"]), int(obj["ny"]), np.ravel(obj["matrix"])
-        fits = values.size == nx * ny
+        nx, ny, values = int(obj["nx"]), int(obj["ny"]), obj["matrix"]
+        nested = all(isinstance(r, list) for r in values)
+        fits = [len(r) for r in values] == [ny] * nx if nested else len(values) == nx * ny
     elif path.suffix == ".csv":
         lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
         nx, ny = (int(v) for v in lines[0].split(","))

@@ -25,9 +25,13 @@ def _pam_points(m: int) -> np.ndarray:
     return np.arange(-(m - 1), m, 2, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """Complex constellation with a Gray bit labeling.
+
+    A value: the arrays are read-only copies of the arguments, and equality
+    and hash follow the class, name, L and the bytes of ``points`` and
+    ``labels``.
 
     Attributes
     ----------
@@ -50,12 +54,25 @@ class Constellation:
     symbols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.points.shape != (2**self.L,) or self.labels.shape != (2**self.L,):
+        points = np.array(self.points, dtype=complex)
+        labels = np.asarray(self.labels).astype(np.int64, casting="safe")
+        if points.shape != (2**self.L,) or labels.shape != (2**self.L,):
             raise ValueError("points/labels must have 2**L entries")
-        if sorted(self.labels.tolist()) != list(range(2**self.L)):
+        if sorted(labels.tolist()) != list(range(2**self.L)):
             raise ValueError("labels must be a bijection onto point indices")
         # symbols[b] = point carrying label integer b
-        object.__setattr__(self, "symbols", self.points[self.labels])
+        for attr, a in (("points", points), ("labels", labels), ("symbols", points[labels])):
+            a.setflags(write=False)
+            object.__setattr__(self, attr, a)
+
+    def _key(self) -> tuple:
+        return type(self), self.name, self.L, self.points.tobytes(), self.labels.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Constellation) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def m(self) -> int:

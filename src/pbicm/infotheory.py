@@ -15,23 +15,16 @@ unconstrained channel exponent on a per-channel-use axis.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc, erfcinv
+from scipy.special import ndtr, ndtri
 
-from . import kernels
-from ._ensemble import (
-    CacheEntry,
-    Ensemble,
-    QuadratureConvergenceError,
-    cache_entry,
-    get_ensemble,
-    moment_table,
-)
+from ._ensemble import Ensemble, QuadratureConvergenceError, get_ensemble, moment_table
 from ._opt import RHO_MAX, exponent_max
 from .channel import ChannelModel
 from .constellation import Constellation
@@ -74,12 +67,10 @@ CURVE_KINDS = (
 )
 
 
+@functools.lru_cache(maxsize=8)
 def _moments(base: ChannelModel, cons: Constellation):
-    """Gated ``moment_table`` of (base, cons), computed once per cache entry."""
-    entry = cache_entry(base, cons)
-    if entry.moments is None:
-        entry.moments = moment_table(base, cons)
-    return entry.moments
+    """Gated ``moment_table`` of (base, cons); the 8 most recently used pairs are kept."""
+    return moment_table(base, cons)
 
 
 # ---------------------------------------------------------------------------
@@ -109,31 +100,6 @@ def capacity_cm(base: ChannelModel, cons: Constellation) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sub_integrals(ens: Ensemble, memo: CacheEntry, rho: float) -> np.ndarray:
-    """2**-E0_s(rho) for every sub-channel, from the stored ensemble."""
-    v = memo.sub_e0.get(rho)
-    if v is None:
-        v = np.zeros(ens.L)
-        for snap in ens.snapshots:
-            for s in range(ens.L):
-                v[s] += snap.weight * kernels.e0_binary_integral(
-                    snap.log_sub[s, 0], snap.log_sub[s, 1], snap.int_w, rho
-                )
-        memo.sub_e0[rho] = v
-    return v
-
-
-def _mary_integral(ens: Ensemble, memo: CacheEntry, rho: float) -> float:
-    """2**-E0(rho) of the full equiprobable input, from the stored ensemble."""
-    v = memo.mary_e0.get(rho)
-    if v is None:
-        v = 0.0
-        for snap in ens.snapshots:
-            v += snap.weight * kernels.e0_mary_integral(snap.log_mary, snap.int_w, rho)
-        memo.mary_e0[rho] = v
-    return v
-
-
 @dataclass
 class E0Evaluator:
     """E0(rho) for one of the four channel views.
@@ -152,8 +118,7 @@ class E0Evaluator:
     cons: Constellation
     kind: str
     s: int | None = None
-    _ens: Ensemble = field(init=False, repr=False)
-    _memo: CacheEntry = field(init=False, repr=False)  # per-rho integrals, shared by all views
+    _ens: Ensemble = field(init=False, repr=False)  # its per-rho integrals are shared by all views
 
     def __post_init__(self):
         self.kind = _E0_ALIASES.get(self.kind, self.kind)
@@ -165,15 +130,14 @@ class E0Evaluator:
         elif self.s is not None:
             raise ValueError("s is only valid for the Subchannel kind")
         self._ens = get_ensemble(self.base, self.cons)
-        self._memo = cache_entry(self.base, self.cons)
 
     def e0(self, rho: float) -> float:
         rho = float(rho)
         if not 0.0 <= rho <= RHO_MAX:
             raise ValueError(f"rho must be in [0, {RHO_MAX:g}]")
         if self.kind == "Unconstrained":
-            return -math.log2(_mary_integral(self._ens, self._memo, rho))
-        ints = _sub_integrals(self._ens, self._memo, rho)
+            return -math.log2(self._ens.mary_integral(rho))
+        ints = self._ens.sub_integrals(rho)
         if self.kind == "Subchannel":
             return -math.log2(ints[self.s - 1])
         if self.kind == "WbarCombined":
@@ -332,24 +296,18 @@ def exponent_gaussian_approx(c: float, v: float, rate: float) -> float:
 
 def qfunc(x: float) -> float:
     """Standard normal tail probability P(Z > x)."""
-    return float(0.5 * erfc(x / math.sqrt(2.0)))
+    return float(ndtr(-x))
 
 
 def qinv(eps: float) -> float:
-    """Inverse of ``qfunc`` with Newton refinement on top of an erfc start.
+    """Inverse of ``qfunc``: ``-ndtri(eps)``.
 
     Relative residual |qfunc(qinv(eps)) - eps| <= 1e-12 * eps over the
     supported range (0, 1).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("argument must be in (0, 1)")
-    x = math.sqrt(2.0) * float(erfcinv(2.0 * eps))
-    for _ in range(2):
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf == 0.0:
-            break
-        x += (qfunc(x) - eps) / pdf
-    return x
+    return float(-ndtri(eps))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from pbicm import _ensemble, dmc
+from pbicm import dmc, infotheory
 from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, bsc, make_rng
 from pbicm.codec import PbicmSimConfig, equivalence_test, hamming74, simulate
 from pbicm.constellation import make_constellation
@@ -47,7 +47,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_capacity_anchor_8psk():
-    _ensemble._CACHE.clear()
+    infotheory._moments.cache_clear()
     t0 = time.perf_counter()
     c_cm = capacity_cm(AWGN_5DB, PSK8)
     c_pb = capacity_pbicm(AWGN_5DB, PSK8)

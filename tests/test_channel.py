@@ -195,3 +195,29 @@ def test_load_dmc_json_rejects_matrix_of_wrong_length(tmp_path):
     f.write_text('{"nx": 2, "ny": 2, "matrix": [0.9, 0.1, 0.1, 0.9, 0.5, 0.5]}')
     with pytest.raises(ValueError, match="Dmc file shape does not match header"):
         load_dmc(f)
+
+
+def test_load_dmc_json_nested_rows(tmp_path):
+    f = tmp_path / "ch.json"
+    f.write_text('{"nx": 2, "ny": 2, "matrix": [[0.9, 0.1], [0.1, 0.9]]}')
+    np.testing.assert_array_equal(load_dmc(f).matrix, bsc(0.1).matrix)
+    f.write_text('{"nx": 2, "ny": 2, "matrix": [[0.9, 0.1], [0.1]]}')
+    with pytest.raises(ValueError, match="Dmc file shape does not match header"):
+        load_dmc(f)
+    f.write_text('{"nx": 2, "ny": 2, "matrix": [[0.9, 0.1, 0.0], [0.1, 0.9]]}')
+    with pytest.raises(ValueError, match="Dmc file shape does not match header"):
+        load_dmc(f)
+
+
+def test_dmc_is_a_value():
+    m = random_stochastic(np.random.default_rng(5), 3, 4)
+    ch = Dmc(m)
+    assert ch == Dmc(m.copy()) and hash(ch) == hash(Dmc(m.copy()))
+    assert ch != Dmc(m[::-1]) and ch != Dmc(m[:, :3] / m[:, :3].sum(axis=1, keepdims=True))
+    assert bsc(0.1) != Awgn(0.1)
+    # the channel holds a read-only copy; the caller's array is untouched
+    assert m.flags.writeable
+    m[0, 0] += 1.0
+    assert ch.matrix[0, 0] != m[0, 0]
+    with pytest.raises(ValueError):
+        ch.matrix[0, 0] = 0.5

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from pbicm.constellation import (
     KINDS,
+    Constellation,
     bits_to_int,
     int_to_bits,
     make_constellation,
@@ -115,3 +116,18 @@ def test_bit_packing_round_trip(L, data):
     bits = int_to_bits(vals, L)
     assert bits.shape == vals.shape + (L,)
     np.testing.assert_array_equal(bits_to_int(bits), vals)
+
+
+def test_constellation_is_a_value():
+    qpsk = make_constellation("QPSK")
+    assert qpsk == make_constellation("QPSK") and hash(qpsk) == hash(make_constellation("QPSK"))
+    assert qpsk != make_constellation("QAM16")
+    points, labels = qpsk.points.copy(), qpsk.labels.copy()
+    relabeled = Constellation("QPSK", 2, points, labels[::-1])
+    assert relabeled != qpsk
+    assert Constellation("QPSK", 2, points, labels) == qpsk
+    # the constellation holds read-only copies; the caller's arrays are untouched
+    assert points.flags.writeable and labels.flags.writeable
+    for a in (qpsk.points, qpsk.labels, qpsk.symbols):
+        with pytest.raises(ValueError):
+            a[0] = a[1]

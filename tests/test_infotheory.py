@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbicm import _ensemble, _opt, dmc, infotheory
-from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, bsc
+from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, bsc, load_dmc, save_dmc
 from pbicm.constellation import make_constellation
 from pbicm.infotheory import (
     CURVE_KINDS,
@@ -258,6 +258,29 @@ def test_rho_search_against_refined_grid_and_its_cost(cons_name, base, kind):
         assert got == pytest.approx(want, abs=1e-8)
         assert got == random_coding_exponent(ev, rate)
         assert len(seen) <= budget, (rate, sorted(seen))
+
+
+def test_rho_search_stops_on_a_near_flat_objective():
+    # capacity 5e-4 bits and |E0''| ~ 3e-4: near the maximizer f moves by
+    # less than its rounding within XTOL, so parabolic steps only fit noise;
+    # the concavity stop ends the search within the budget of the test above
+    P = np.array([
+        [0.5180264269483159, 0.4819735730516841],
+        [0.512745230025883, 0.48725476997411693],
+        [0.5287263075990251, 0.47127369240097483],
+        [0.49264644932209817, 0.5073535506779018],
+    ])
+    rate = 0.00039357883241856  # between the critical rate and capacity
+    seen = set()
+
+    def counted(rho):
+        seen.add(rho)
+        return dmc.e0(P, rho)
+
+    got = _opt.exponent_max(counted, rate, sphere=False)
+    want = _refined_grid_max(lambda r: dmc.e0(P, r) - r * rate)
+    assert got == pytest.approx(want, abs=1e-14)
+    assert len(seen) <= 12, sorted(seen)
 
 
 @pytest.mark.parametrize("where", ["below", "at", "above", "beyond_capacity"])
@@ -557,7 +580,7 @@ def test_capacities_and_dispersion_share_one_moment_table(monkeypatch):
         calls.append(args)
         return real_table(*args, **kwargs)
 
-    monkeypatch.setattr(_ensemble, "_CACHE", {})
+    infotheory._moments.cache_clear()
     monkeypatch.setattr(infotheory, "moment_table", counted_table)
     base = Awgn(Snr(3.0).n0)
     c_cm = capacity_cm(base, QPSK)
@@ -575,7 +598,7 @@ def test_all_e0_kinds_share_one_ensemble(monkeypatch):
         builds.append(args)
         return real_iter(*args, **kwargs)
 
-    monkeypatch.setattr(_ensemble, "_CACHE", {})
+    _ensemble.get_ensemble.cache_clear()
     monkeypatch.setattr(_ensemble, "iter_snapshots", counted_iter)
     base = Awgn(Snr(3.0).n0)
     values = [
@@ -583,6 +606,15 @@ def test_all_e0_kinds_share_one_ensemble(monkeypatch):
     ]
     assert len(builds) == 1
     assert all(np.isfinite(values))
+
+
+def test_two_loads_of_one_dmc_file_share_one_ensemble(tmp_path):
+    # channels are values: equal matrices key the same cache entry
+    path = tmp_path / "ch.json"
+    save_dmc(Dmc(random_stochastic(np.random.default_rng(3), 4, 3)), path)
+    first, second = load_dmc(path), load_dmc(path)
+    assert first is not second and first == second
+    assert _ensemble.get_ensemble(first, QPSK) is _ensemble.get_ensemble(second, QPSK)
 
 
 @pytest.mark.parametrize("base", [Awgn(Snr(5.0).n0), RayleighCsi(Snr(5.0).n0)], ids=["awgn", "rayleigh"])
