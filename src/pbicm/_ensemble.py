@@ -1,26 +1,41 @@
 """Reduction of (base channel, labeling) pairs to weighted output grids.
 
 Every information quantity in this package is an expectation over channel
-outputs, and every channel is reduced the same way.  Each label j gets a
-"block" of outputs whose weights make node sums expectations given j was
-sent; importance weights turn the m blocks side by side into plain sums over
-outputs.  A Dmc block is exact: the outputs row j can produce, weighted by
-W(y|x_j).  A Gaussian block is the Gauss-Hermite grid around symbol j.
-Either way one sum, ``kernels.log_subchannel``, turns every label's log
-density at the block's outputs into the sub-channel laws.
-Rayleigh-with-CSI adds an outer trapezoid rule in u = ln|h|^2 (density
-e^(u - e^u), so equally spaced nodes on a fixed window converge
-exponentially at every SNR); the fading phase folds out exactly (rotating y
-and h together leaves every conditional quantity unchanged because the noise
-is circularly symmetric), so each node is a channel state with symbols
-scaled by |h|.  The other channels have one unit state.
+outputs, and every channel is reduced the same way, one independent axis of
+the constellation at a time (``constellation.Axis``).  Given the channel
+state, complex noise has independent real and imaginary parts, so when a
+constellation's real part carries some label bits and its imaginary part the
+rest, each bit's sub-channel law is the law of its axis alone and the axes
+of one label are independent: BPSK, QPSK, QAM16 and QAM64 run as 1-D PAM
+axes with real noise of variance n0/2.  PSK8 does not split and runs as one
+2-D axis, and a Dmc base, whose law is given per label, is one exact-block
+axis over all bits.
+
+On an axis, each label j gets a "block" of outputs whose weights make node
+sums expectations given j was sent; importance weights turn the blocks side
+by side into plain sums over outputs.  A Dmc block is exact: the outputs
+row j can produce, weighted by W(y|x_j).  A Gaussian block is the d-fold
+tensor Gauss-Hermite grid around point j of a d-dimensional axis.  Either
+way one sum, ``kernels.log_subchannel``, turns every label's log density at
+the block's outputs into the sub-channel laws.  Rayleigh-with-CSI adds an
+outer trapezoid rule in u = ln|h|^2 (density e^(u - e^u), so equally spaced
+nodes on a fixed window converge exponentially at every SNR); the fading
+phase folds out exactly (rotating y and h together leaves every conditional
+quantity unchanged because the noise is circularly symmetric), so each node
+is a channel state with the points scaled by |h|.  The states are an array
+axis of every block.  The other channels have one unit state.
+
+The axes are combined inside each channel state: a sub-channel's moments and
+E0 come from its axis; the full-input information density is the sum of the
+axes' (E[i] adds, and E[i^2] = sum_a E[i_a^2] + 2 sum_{a<b} E[i_a] E[i_b]),
+and its 2**-E0 is the product of the axes' Gallager integrals.
 
 Moments are reduced block by block (``moment_table``, gated by node
 doubling; a Dmc is exact).  E0 needs whole-grid sums for many rho values, so
-it works on stored "snapshots" (``get_ensemble``): per channel state, the
-blocks' log-density rows per label, sub-channel log densities, integration
-weights and a probability weight; an ensemble also keeps its per-rho E0
-integrals.  Channels and constellations are values, so
+it works on stored "snapshots" (``get_ensemble``): per axis and channel
+state, the blocks' log-density rows per label, sub-channel log densities,
+integration weights and a probability weight; an ensemble also keeps its
+per-rho E0 integrals.  Channels and constellations are values, so
 ``functools.lru_cache`` keys the ensembles (here) and the gated moments
 (``infotheory._moments``) by the pair itself, 8 pairs each.
 """
@@ -35,7 +50,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import kernels
 from .channel import ChannelModel, Dmc, RayleighCsi
-from .constellation import Constellation, int_to_bits
+from .constellation import Axis, Constellation, int_to_bits
 from .subchannel import dmc_log_rows, label_sets
 
 GH_NODES = 32  # Gauss-Hermite nodes per real dimension
@@ -52,16 +67,28 @@ class QuadratureConvergenceError(RuntimeError):
 
 @dataclass
 class Snapshot:
-    weight: float
-    int_w: np.ndarray  # (K,) weights turning node sums into output integrals
-    log_sub: np.ndarray  # (L, 2, K) log sub-channel densities
-    log_mary: np.ndarray  # (m, K) log base densities by label
+    """One axis's label blocks side by side, in every channel state."""
+
+    bits: tuple[int, ...]  # the label bit positions the axis carries
+    weight: np.ndarray  # (F,) probability weight of each channel state
+    int_w: np.ndarray  # (F, K) weights turning node sums into output integrals
+    log_sub: np.ndarray  # (La, 2, F, K) log sub-channel densities of the axis bits
+    log_mary: np.ndarray  # (ma, F, K) log axis densities by axis label
+
+
+def _state_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis one term at a time, in order, as a loop over states adds them.
+
+    So a single-axis pair (PSK8, a Dmc) gives the same bits as when its
+    states were looped one at a time.
+    """
+    return np.cumsum(terms, axis=0)[-1]
 
 
 @dataclass
 class Ensemble:
     cons: Constellation
-    snapshots: list[Snapshot]
+    snapshots: list[Snapshot]  # one per axis
     sub_e0: dict[float, np.ndarray] = field(default_factory=dict)  # rho -> 2**-E0_s(rho), all s
     mary_e0: dict[float, float] = field(default_factory=dict)  # rho -> 2**-E0(rho), full input
 
@@ -75,10 +102,9 @@ class Ensemble:
         if v is None:
             v = np.zeros(self.L)
             for snap in self.snapshots:
-                for s in range(self.L):
-                    v[s] += snap.weight * kernels.e0_binary_integral(
-                        snap.log_sub[s, 0], snap.log_sub[s, 1], snap.int_w, rho
-                    )
+                for p, s in enumerate(snap.bits):
+                    g = kernels.e0_binary_integral(snap.log_sub[p, 0], snap.log_sub[p, 1], snap.int_w, rho)
+                    v[s] = _state_sum(snap.weight * g)
             self.sub_e0[rho] = v
         return v
 
@@ -86,9 +112,10 @@ class Ensemble:
         """2**-E0(rho) of the full equiprobable input, computed once per rho."""
         v = self.mary_e0.get(rho)
         if v is None:
-            v = 0.0
+            g = 1.0  # the axes are independent given the state: their integrals multiply
             for snap in self.snapshots:
-                v += snap.weight * kernels.e0_mary_integral(snap.log_mary, snap.int_w, rho)
+                g = g * kernels.e0_mary_integral(snap.log_mary, snap.int_w, rho)
+            v = float(_state_sum(self.snapshots[0].weight * g))
             self.mary_e0[rho] = v
         return v
 
@@ -104,69 +131,103 @@ def _fading_nodes(base: ChannelModel, gl: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _hermite_rule(gh: int) -> tuple[np.ndarray, np.ndarray]:
-    """2-D Gauss-Hermite rule for CN(0, 1): complex offsets and weights summing to 1."""
+def _hermite_rule(gh: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """d-fold tensor Gauss-Hermite rule for N(0, 1/2) per coordinate: offsets (gh**d, d) and weights summing to 1."""
     t, w = hermgauss(gh)
-    wk = (w[:, None] * w[None, :]).ravel() / np.pi
-    rule = (t[:, None] + 1j * t[None, :]).ravel(), wk / wk.sum()
+    wk = w
+    for _ in range(d - 1):
+        wk = (wk[:, None] * w[None, :]).ravel()
+    wk = wk / np.pi ** (d / 2)
+    rule = np.stack(np.meshgrid(*[t] * d, indexing="ij"), axis=-1).reshape(-1, d), wk / wk.sum()
     for a in rule:
         a.setflags(write=False)  # shared by every caller through the cache
     return rule
 
 
-def _symbol_block(base: ChannelModel, cons: Constellation, scale: float, j: int, gh: int):
-    """Label j's block: the outputs it can produce, with log densities there.
+def _axes(base: ChannelModel, cons: Constellation) -> tuple[Axis, ...]:
+    """The axes the pipeline runs on: the constellation's, or for a Dmc one exact-block axis over all bits."""
+    if isinstance(base, Dmc):
+        return (Axis(tuple(range(cons.L)), (), np.empty((cons.m, 0))),)
+    return cons.axes
+
+
+def _block_sizes(base: ChannelModel, cons: Constellation, axis: Axis, gh: int) -> np.ndarray:
+    """Outputs per label block: the outputs a Dmc row can produce, or the Hermite grid size."""
+    if isinstance(base, Dmc):
+        return np.count_nonzero(dmc_log_rows(base, cons) > -np.inf, axis=1)
+    return np.full(len(axis.points), gh ** len(axis.dims))
+
+
+def _state_blocks(n_states: int, per_state: int) -> list[slice]:
+    """Runs of channel states whose label blocks hold about ``kernels.BLOCK_ENTRIES`` entries (at least one state)."""
+    step = max(1, kernels.BLOCK_ENTRIES // per_state)
+    return [slice(a, a + step) for a in range(0, n_states, step)]
+
+
+def _symbol_block(base: ChannelModel, cons: Constellation, axis: Axis, scale: np.ndarray, j: int, gh: int):
+    """Axis label j's block in the channel states ``scale`` (F,): the outputs it can produce, with log densities there.
 
     Returns ``(log_rows, log_sub, log_pbar, wk)``: ``log_rows[b]`` is
-    log p(y | label b) (m, K), ``log_sub`` the sub-channel log densities
-    (L, 2, K), ``log_pbar`` the log uniform-input output density (K,), and
-    ``wk`` the plain weights under which node sums are expectations given
-    label j was sent.  A Gaussian block is the Hermite grid around
-    ``scale * symbols[j]``; a Dmc block is exact: the outputs that row j can
-    produce, weighted by W(y | j).
+    log p(y | axis label b) (ma, F, K), ``log_sub`` the sub-channel log
+    densities of the axis bits (La, 2, F, K), ``log_pbar`` the log
+    uniform-input output density (F, K), and ``wk`` the plain weights under
+    which node sums are expectations given label j was sent.  A Gaussian
+    block is the Hermite grid around ``scale * points[j]``; a Dmc block
+    (one unit state) is exact: the outputs that row j can produce, weighted
+    by W(y | j).
     """
     if isinstance(base, Dmc):
         log_rows = dmc_log_rows(base, cons)
         ys = np.flatnonzero(log_rows[j] > -np.inf)
-        log_rows, wk = log_rows[:, ys], base.matrix[cons.labels[j], ys]
+        log_rows, wk = log_rows[:, None, ys], base.matrix[cons.labels[j], ys]
     else:
-        sym = scale * cons.symbols
-        dz, wk = _hermite_rule(gh)
-        log_rows = kernels.log_densities(sym[j] + np.sqrt(base.n0) * dz, None, sym, base.n0)
-    return log_rows, kernels.log_subchannel(log_rows, label_sets(cons.L)), kernels.log_mean(log_rows, 0), wk
+        pts = axis.points
+        dz, wk = _hermite_rule(gh, pts.shape[1])
+        y = scale[:, None, None] * pts[j] + np.sqrt(base.n0) * dz  # (F, K, d)
+        log_rows = kernels.log_densities(y, scale[:, None], pts, base.n0)
+    ma, F, K = log_rows.shape
+    log_sub = kernels.log_subchannel(log_rows.reshape(ma, -1), label_sets(axis.L)).reshape(axis.L, 2, F, K)
+    return log_rows, log_sub, kernels.log_mean(log_rows, 0), wk
 
 
-def _snapshot(base: ChannelModel, cons: Constellation, scale: float, gh: int, weight: float) -> Snapshot:
-    """The m label blocks side by side, with importance weights wk * pi_j / W(y|x_j).
+def _snapshot(
+    base: ChannelModel, cons: Constellation, axis: Axis, scale: np.ndarray, gh: int, weight: np.ndarray
+) -> Snapshot:
+    """The axis's label blocks side by side, with importance weights wk * pi_j / W(y|x_j).
 
     Block j takes the share pi_j = sqrt W(y|x_j) / sum_k sqrt W(y|x_k) of
     each output (none where W(y|x_j) = 0).  Shares in proportion to
     W(y|x_j) switch labels twice as sharply between symbols, where a
     Hermite block has few nodes: QPSK AWGN 10 dB E0(1) was 1.3e-4 off, now
-    2e-6.  The weights integrate the output density to exactly 1: E0(0) = 0.
+    2e-6.  In each state the weights integrate the output density to
+    exactly 1: E0(0) = 0.
     """
-    m = cons.m
+    ma, F = len(axis.points), len(scale)
     # block sizes are known up front, so the blocks are written in place
-    sizes = np.count_nonzero(dmc_log_rows(base, cons) > -np.inf, axis=1) if isinstance(base, Dmc) else [gh * gh] * m
+    sizes = _block_sizes(base, cons, axis, gh)
     ends = np.cumsum([0, *sizes])
-    log_rows = np.empty((m, ends[-1]))
-    log_sub = np.empty((cons.L, 2, ends[-1]))
-    log_pbar = np.empty(ends[-1])
-    log_w = np.empty(ends[-1])
-    for j in range(m):
-        blk = slice(ends[j], ends[j + 1])
-        log_rows[:, blk], log_sub[..., blk], log_pbar[blk], wk = _symbol_block(base, cons, scale, j, gh)
-        half = 0.5 * log_rows[:, blk]
-        log_w[blk] = np.log(wk / m) - half[j] - kernels.log_mean(half, 0)
+    log_rows = np.empty((ma, F, ends[-1]))
+    log_sub = np.empty((axis.L, 2, F, ends[-1]))
+    log_pbar = np.empty((F, ends[-1]))
+    log_w = np.empty((F, ends[-1]))
+    for st in _state_blocks(F, ma * int(sizes.max())):
+        for j in range(ma):
+            blk = slice(ends[j], ends[j + 1])
+            log_rows[:, st, blk], log_sub[:, :, st, blk], log_pbar[st, blk], wk = _symbol_block(
+                base, cons, axis, scale[st], j, gh
+            )
+            half = 0.5 * log_rows[:, st, blk]
+            log_w[st, blk] = np.log(wk / ma) - half[j] - kernels.log_mean(half, 0)
     int_w = np.exp(log_w)
-    int_w /= int_w @ np.exp(log_pbar)
-    return Snapshot(weight, int_w, log_sub, log_rows)
+    int_w /= kernels.row_dot(int_w, np.exp(log_pbar))[:, None]
+    return Snapshot(axis.bits, weight, int_w, log_sub, log_rows)
 
 
 def iter_snapshots(base: ChannelModel, cons: Constellation) -> Iterator[Snapshot]:
-    """Yield the snapshots of (base, cons) one channel state at a time."""
-    for scale, w in zip(*_fading_nodes(base, GL_NODES)):
-        yield _snapshot(base, cons, scale, GH_NODES, float(w))
+    """Yield the snapshots of (base, cons) one axis at a time."""
+    scale, w = _fading_nodes(base, GL_NODES)
+    for axis in _axes(base, cons):
+        yield _snapshot(base, cons, axis, scale, GH_NODES, w)
 
 
 @lru_cache(maxsize=8)
@@ -182,27 +243,40 @@ def get_ensemble(base: ChannelModel, cons: Constellation) -> Ensemble:
 
 
 def _moment_pass(base: ChannelModel, cons: Constellation, gh: int, gl: int):
-    """Moments from one pass over every channel state, one label block at a time.
+    """Moments from one pass over every axis, one label block of many channel states at a time.
 
     Expectations conditioned on label j are summed on j's own block with
     plain weights (the conditional law is the block's weight function, so
     the integrand is just the information density); this is far tighter than
-    the importance-weighted union grid, and streaming blocks keeps memory at
-    m x gh^2 regardless of node escalation.
+    the importance-weighted union grid, and streaming blocks keeps memory
+    near ``kernels.BLOCK_ENTRIES`` regardless of node escalation.  Within a state
+    the full-input density is the sum of the axes' densities.
     """
-    m, L = cons.m, cons.L
-    arangeL = np.arange(L)
-    lab_bits = int_to_bits(np.arange(m), L)  # (m, L)
-    m1, m2, cm = np.zeros(L), np.zeros(L), np.zeros(2)
-    for scale, w in zip(*_fading_nodes(base, gl)):
-        weight = float(w)
-        for j in range(m):
-            log_rows, log_sub, log_pbar, wk = _symbol_block(base, cons, scale, j, gh)
-            isel = (log_sub[arangeL, lab_bits[j]] - log_pbar) / LN2  # i of the bit values sent
-            io = (log_rows[j] - log_pbar) / LN2  # i of the label sent
-            m1 += weight * (isel @ wk) / m
-            m2 += weight * ((isel * isel) @ wk) / m
-            cm += weight * np.array([io @ wk, (io * io) @ wk]) / m
+    scale, w = _fading_nodes(base, gl)
+    F = len(scale)
+    m1, m2, cm = np.zeros(cons.L), np.zeros(cons.L), np.zeros(2)
+    means, cross = [], np.zeros(F)  # per state: E[i_a] of each axis so far, sum_{a<b} E[i_a] E[i_b]
+    for axis in _axes(base, cons):
+        ma, La = len(axis.points), axis.L
+        arange = np.arange(La)
+        lab_bits = int_to_bits(np.arange(ma), La)  # (ma, La)
+        sub = np.empty((F, ma, 2, La))  # per state and label: E[i_s], E[i_s^2] of the axis bits
+        full = np.empty((F, ma, 2))  # per state and label: E[i_a], E[i_a^2] of the axis label
+        for st in _state_blocks(F, ma * int(_block_sizes(base, cons, axis, gh).max())):
+            for j in range(ma):
+                log_rows, log_sub, log_pbar, wk = _symbol_block(base, cons, axis, scale[st], j, gh)
+                isel = np.moveaxis((log_sub[arange, lab_bits[j]] - log_pbar) / LN2, 1, 0)  # i of the bits sent
+                io = (log_rows[j] - log_pbar) / LN2  # i of the axis label sent
+                sub[st, j, 0], sub[st, j, 1] = isel @ wk, (isel * isel) @ wk
+                full[st, j, 0], full[st, j, 1] = kernels.row_dot(io, wk), kernels.row_dot(io * io, wk)
+        # states outer, labels inner: the order a loop over states and labels adds the terms in
+        m1[list(axis.bits)], m2[list(axis.bits)] = _state_sum((w[:, None, None, None] * sub / ma).reshape(-1, 2, La))
+        cm += _state_sum((w[:, None, None] * full / ma).reshape(-1, 2))
+        e = full[:, :, 0].mean(axis=1)
+        for e_b in means:
+            cross += e * e_b
+        means.append(e)
+    cm[1] += 2.0 * (w @ cross)
     return m1, m2, cm
 
 

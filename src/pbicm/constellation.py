@@ -5,6 +5,16 @@ from L-bit strings to point indices.  Bit vectors are ordered MSB-first:
 ``bits[0]`` is mapper input 1 and contributes ``2**(L-1)`` to the label
 integer.  QAM labelings use an independent reflected-binary Gray code per
 I/Q axis; PSK labelings use a reflected-binary Gray code around the ring.
+
+Every layer reads a constellation through its independent axes
+(``Constellation.axes``), found from the points and labels: when the real
+part of the symbol depends on one set of label bits and the imaginary part
+on the rest, each part is a real PAM axis carrying its own bits, and since
+complex noise has independent real and imaginary parts, every sub-channel
+law is the law of its axis alone (Caire, Taricco & Biglieri, IEEE Trans. IT
+1998).  BPSK is one 1-D axis (its imaginary part is constant and carries
+nothing), QPSK two 1-D BPSK axes, QAM16 and QAM64 two 1-D PAM axes (MSB half
+on I, LSB half on Q).  PSK8 does not split and is one 2-D axis.
 """
 from __future__ import annotations
 
@@ -20,6 +30,49 @@ def _gray(k: np.ndarray) -> np.ndarray:
     return k ^ (k >> 1)
 
 
+@dataclass(frozen=True, eq=False)
+class Axis:
+    """One independent axis of a constellation.
+
+    ``bits`` are the 0-based label bit positions the axis carries (MSB-first
+    index into the label), ``dims`` the real output coordinates it reads
+    (0 = real, 1 = imaginary part), and ``points[k]`` (one real coordinate
+    per entry of ``dims``) the point of axis label ``k``, whose bits are
+    the label's bits at ``bits``, MSB-first.
+    """
+
+    bits: tuple[int, ...]
+    dims: tuple[int, ...]
+    points: np.ndarray  # (2**len(bits), len(dims)) real, a read-only copy
+
+    def __post_init__(self):
+        points = np.array(self.points, dtype=float)
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
+
+    @property
+    def L(self) -> int:
+        return len(self.bits)
+
+
+def _independent_axes(L: int, symbols: np.ndarray) -> tuple[Axis, ...]:
+    """Split the labeled points into axes, or return the whole plane as one 2-D axis."""
+    lab = np.arange(2**L)
+    coords = np.stack([symbols.real, symbols.imag])  # (2, m): coordinate r of each label
+    # the bits that move each coordinate when flipped
+    deps = [tuple(s for s in range(L) if np.any(c != c[lab ^ (1 << (L - 1 - s))])) for c in coords]
+    if set(deps[0]).isdisjoint(deps[1]) and len(deps[0]) + len(deps[1]) == L:
+        axes = []
+        for r, bits in enumerate(deps):
+            if bits:  # a constant coordinate carries no information and is dropped
+                k = np.arange(2 ** len(bits))
+                # the label with axis label k at positions ``bits`` and zeros elsewhere
+                at = sum(((k >> (len(bits) - 1 - p)) & 1) << (L - 1 - s) for p, s in enumerate(bits))
+                axes.append(Axis(bits, (r,), coords[r, at][:, None]))
+        return tuple(axes)
+    return (Axis(tuple(range(L)), (0, 1), coords.T),)
+
+
 def _pam_points(m: int) -> np.ndarray:
     """Ascending odd-integer PAM grid with m levels: -(m-1), ..., m-1."""
     return np.arange(-(m - 1), m, 2, dtype=float)
@@ -33,6 +86,13 @@ class Constellation:
     and hash follow the class, name, L and the bytes of ``points`` and
     ``labels``.
 
+    Its independent axes (``axes``, see the module docstring) are derived
+    from ``points`` and ``labels``, not from the name: when the real and
+    imaginary parts of the symbols depend on disjoint sets of label bits,
+    each part with some bits is a 1-D axis (BPSK, QPSK, QAM16, QAM64);
+    otherwise the plane is one 2-D axis (PSK8).  Over a Dmc base the axes
+    are not used: its law is given per label, so every bit is read at once.
+
     Attributes
     ----------
     name : str
@@ -45,6 +105,8 @@ class Constellation:
     labels : np.ndarray
         ``labels[b]`` is the point index carrying the L-bit label with
         integer value ``b`` (MSB-first).
+    axes : tuple[Axis, ...]
+        The independent axes; their ``bits`` partition ``range(L)``.
     """
 
     name: str
@@ -52,6 +114,7 @@ class Constellation:
     points: np.ndarray
     labels: np.ndarray
     symbols: np.ndarray = field(init=False, repr=False)
+    axes: tuple[Axis, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=complex)
@@ -64,6 +127,7 @@ class Constellation:
         for attr, a in (("points", points), ("labels", labels), ("symbols", points[labels])):
             a.setflags(write=False)
             object.__setattr__(self, attr, a)
+        object.__setattr__(self, "axes", _independent_axes(self.L, self.symbols))
 
     def _key(self) -> tuple:
         return type(self), self.name, self.L, self.points.tobytes(), self.labels.tobytes()

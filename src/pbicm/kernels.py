@@ -4,6 +4,12 @@ from __future__ import annotations
 import numpy as np
 
 
+# Entries per (labels, outputs) array that the demapper and the quadrature
+# work on at once: on a 2-core x86 VM, blocks of this size ran about twice
+# as fast as 35k-sample or 16-state ones, which spill out of the caches.
+BLOCK_ENTRIES = 1 << 15
+
+
 def numba_enabled() -> bool:
     return False  # kept for callers that record the kernel path; the kernels are numpy only
 
@@ -15,7 +21,8 @@ def warmup() -> None:
 # ---------------------------------------------------------------------------
 # The sub-channel law of every channel, read by the demapper and the quadrature:
 # log W_s(y_k | b) = log mean_{j in sets[s,b]} p(y_k | x_j) from (m, N) log rows,
-# -|y_k - h_k x_j|^2 / n0 - log(pi n0) (Gaussian) or log W(y_k | x_j) (Dmc).
+# -|y_k - h_k x_j|^2 / n0 - (d/2) log(pi n0) on a d-dimensional constellation
+# axis (Gaussian) or log W(y_k | x_j) (Dmc).
 # ---------------------------------------------------------------------------
 
 
@@ -23,25 +30,32 @@ def log_mean(a: np.ndarray, axis: int) -> np.ndarray:
     """log(mean(exp(a))) along ``axis``, shifted by the maximum for stability; -inf on a line that is all -inf."""
     peak = a.max(axis=axis, keepdims=True)
     peak[peak == -np.inf] = 0.0  # an all -inf line would shift to -inf - -inf = NaN
+    t = a - peak
+    np.exp(t, out=t)  # in place: a second temporary of the input's size costs more than the exp
     with np.errstate(divide="ignore"):
-        return np.squeeze(peak, axis) + np.log(np.exp(a - peak).mean(axis=axis))
+        return np.squeeze(peak, axis) + np.log(t.mean(axis=axis))
 
 
-def log_densities(y, h, symbols, n0) -> np.ndarray:
-    """(m, N) log densities of outputs ``y`` given each symbol, in real arithmetic.
+def log_densities(y, h, points, n0) -> np.ndarray:
+    """(M, ...) log densities of real outputs ``y`` (..., d) given each of ``points`` (M, d).
 
-    Row b is log p(y_k | h_k symbols[b]) for circularly symmetric complex
-    Gaussian noise of total variance n0.  ``h`` may be None (no fading).
+    Entry b is log p(y | h points[b]) for Gaussian noise of variance n0/2
+    per real coordinate: -|y - h x_b|^2 / n0 - (d/2) ln(pi n0).  ``h`` is
+    a real gain broadcast against the outputs' shape, or None for unit gain.
     """
-    y = np.asarray(y, dtype=complex).ravel()
-    sr, si = symbols.real[:, None], symbols.imag[:, None]
-    if h is None:
-        xr, xi = sr, si
-    else:
-        h = np.asarray(h, dtype=complex).ravel()
-        xr, xi = h.real * sr - h.imag * si, h.real * si + h.imag * sr
-    dr, di = y.real - xr, y.imag - xi
-    return -(dr * dr + di * di) * (1.0 / n0) - np.log(np.pi * n0)
+    lead = (-1,) + (1,) * (y.ndim - 1)
+    for r in range(points.shape[1]):
+        x = points[:, r].reshape(lead)
+        dr = y[..., r] - (x if h is None else x * h)
+        dr *= dr  # in place, as below: fresh temporaries of this size cost more than the arithmetic
+        if r == 0:
+            acc = dr
+        else:
+            acc += dr
+    np.negative(acc, out=acc)
+    acc *= 1.0 / n0
+    acc -= 0.5 * points.shape[1] * np.log(np.pi * n0)
+    return acc
 
 
 def log_subchannel(log_rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -55,37 +69,50 @@ def log_subchannel(log_rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return out
 
 
-def llr_batch(y, h, symbols, n0, sets, llr_max) -> np.ndarray:
-    """Per-bit-position LLRs for a batch of received samples.
+def llr_batch(y, h, points, n0, sets, llr_max) -> np.ndarray:
+    """Per-bit-position LLRs of one constellation axis for a batch of outputs.
 
-    ``sets[s, b]`` lists the label integers whose bit s equals b.  ``h`` may
-    be None (no fading).  Returns an (L, N) float array in natural-log units.
+    ``y`` holds the axis coordinates of the outputs (N, d), ``h`` the real
+    gain of each output (N,) or None, ``points`` the axis points (M, d) and
+    ``sets[s, b]`` the axis labels whose bit s equals b.  Returns an
+    (L, N) float array in natural-log units, L the axis bit count.
     """
-    ls = log_subchannel(log_densities(y, h, symbols, n0), sets)
-    return np.clip(ls[:, 0] - ls[:, 1], -llr_max, llr_max)
+    out = np.empty((sets.shape[0], len(y)))
+    step = max(1, BLOCK_ENTRIES // len(points))
+    for a in range(0, len(y), step):
+        k = slice(a, a + step)
+        ls = log_subchannel(log_densities(y[k], None if h is None else h[k], points, n0), sets)
+        np.clip(ls[:, 0] - ls[:, 1], -llr_max, llr_max, out=out[:, k])
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Gallager integrand sums over a weighted output grid.  ``q = 1/(1+rho)``;
-# the binary form computes sum_k w_k * (0.5 e^{q ld0_k} + 0.5 e^{q ld1_k})^{1/q},
-# the m-ary form averages rows of a log-density matrix.
+# Gallager integrand sums over weighted output grids, one per channel state.
+# ``q = 1/(1+rho)``; the binary form computes sum_k w_k * (0.5 e^{q ld0_k} +
+# 0.5 e^{q ld1_k})^{1/q}, the m-ary form averages rows of a log-density
+# matrix.  Leading axes are states: each returns one value per state.
 # ---------------------------------------------------------------------------
 
 
-def e0_binary_integral(ld0, ld1, w, rho) -> float:
-    """Gallager integrand sum for a binary channel snapshot (equals 2**-E0)."""
+def row_dot(a, b):
+    """sum_k a[..., k] b[..., k] per leading index, each by the same BLAS dot as ``np.dot`` on one row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def e0_binary_integral(ld0, ld1, w, rho):
+    """Gallager integrand sums (equal to 2**-E0) of binary channel snapshots (..., K)."""
     q = 1.0 / (1.0 + rho)
     t = 0.5 * np.exp(q * ld0) + 0.5 * np.exp(q * ld1)
-    return float(np.dot(w, t ** (1.0 / q)))
+    return row_dot(w, t ** (1.0 / q))
 
 
-def e0_mary_integral(logd, w, rho) -> float:
-    """Gallager integrand sum for an m-ary equiprobable channel snapshot."""
+def e0_mary_integral(logd, w, rho):
+    """Gallager integrand sums of m-ary equiprobable snapshots: logd (m, ..., K), w (..., K)."""
     q = 1.0 / (1.0 + rho)
-    # accumulate row by row (the order mean(axis=0) adds in): an (m, K)
+    # accumulate row by row (the order mean(axis=0) adds in): an (m, ..., K)
     # temporary per call is large enough for malloc to map and fault it in
     # anew on every call
     t = np.exp(q * logd[0])
     for row in logd[1:]:
         t += np.exp(q * row)
-    return float(np.dot(w, (t / logd.shape[0]) ** (1.0 / q)))
+    return row_dot(w, (t / logd.shape[0]) ** (1.0 / q))

@@ -120,7 +120,14 @@ def llr_bit(base: ChannelModel, cons: Constellation, i: int, y) -> float:
 
 
 def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """All L sub-channel LLRs for a batch of outputs; shape (L, N)."""
+    """All L sub-channel LLRs for a batch of outputs; shape (L, N).
+
+    Gaussian outputs are demapped one constellation axis at a time, each
+    axis's bits from that axis's coordinates.  With fading, y h*/|h| is
+    |h| x plus noise of the same law, so its real and imaginary parts are
+    the axis coordinates and |h| the gain; an output with h = 0 carries
+    nothing and gets LLR 0.
+    """
     if isinstance(base, Dmc):
         idx = np.asarray(y, dtype=np.int64).ravel()
         if np.any((idx < 0) | (idx >= base.ny)):
@@ -130,7 +137,21 @@ def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.nda
             raise ValueError("output outside channel support")
         ls = kernels.log_subchannel(log_rows, label_sets(cons.L))
         return np.clip(ls[:, 0] - ls[:, 1], -LLR_MAX, LLR_MAX)
-    return kernels.llr_batch(y, h, cons.symbols, base.n0, label_sets(cons.L), LLR_MAX)
+    y = np.asarray(y, dtype=complex).ravel()
+    if h is None:
+        coords, gain = np.stack([y.real, y.imag], axis=1), None
+    else:
+        h = np.asarray(h, dtype=complex).ravel()
+        gain = np.abs(h)
+        rot = y * h.conj()
+        coords = np.zeros((y.size, 2))
+        np.divide(np.stack([rot.real, rot.imag], axis=1), gain[:, None], out=coords, where=gain[:, None] > 0)
+    out = np.empty((cons.L, y.size))
+    for axis in cons.axes:
+        out[list(axis.bits)] = kernels.llr_batch(
+            coords[:, axis.dims], gain, axis.points, base.n0, label_sets(axis.L), LLR_MAX
+        )
+    return out
 
 
 def llr_wbar(base: ChannelModel, cons: Constellation, out: WbarOutput) -> float:

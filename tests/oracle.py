@@ -1,7 +1,9 @@
-"""Reference values for BPSK and QPSK on AWGN and Rayleigh, by adaptive quadrature.
+"""Reference values for BPSK, QPSK and QAM16 on AWGN and Rayleigh, by adaptive quadrature.
 
 Test-only and independent of the library's rules: every integral here is a
-``scipy.integrate.quad`` call, and nothing from pbicm is imported.
+``scipy.integrate.quad`` or ``quad_vec`` call (the adaptive Gauss-Kronrod
+rule of ``quad`` for a vector of integrands), and nothing from pbicm is
+imported.
 
 BPSK with amplitude a over complex noise of total variance n0 is a binary
 channel on the real output; given the bit sent, its LLR l = 4 a y / n0 is
@@ -21,15 +23,30 @@ Gray QPSK carries one bit on each axis, so each bit sub-channel is BPSK with
 amplitude 1/sqrt(2) under the same fading.  Full-input quantities take the
 sum or product of the two independent bits inside the fading expectation:
 c_cm = E_h[2 c], and 2**-E0(rho) = E_h[g^2] with g the BPSK value of 2**-E0.
+
+Gray QAM16 is two Gray PAM4 axes, levels (-3, -1, 3, 1) / sqrt(10) for axis
+labels 0..3 (bits MSB-first), with real noise of variance n0/2 each; bits 1-2
+ride the real axis and bits 3-4 the imaginary one.  In units of the noise
+standard deviation the levels sit at s * level with s = |h| / sqrt(5 n0).  An
+inner ``quad_vec`` over the standardized output computes, at one s, every
+per-axis quantity as an expectation given the label sent; the E0 integrals
+int F(t) dt become E[F(t) / pbar(t)], a ratio in [0, 1].  Mirroring the output
+maps each label to the label of the opposite level without changing any
+integrand, so the expectation over labels runs over the two negative levels
+only.  The outer ``quad_vec`` over u = ln|h|^2 averages the per-axis values,
+with the full-input 2**-E0 squared inside it (the two axes share h).
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from scipy.integrate import quad
+import numpy as np
+from scipy.integrate import quad, quad_vec
 
 LN2 = math.log(2.0)
+LN4 = math.log(4.0)
+RHOS = (0.5, 1.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INNER = dict(epsabs=1e-11, epsrel=1e-9, limit=200)
 _OUTER = dict(epsabs=1e-9, epsrel=1e-9, limit=400)
@@ -75,24 +92,99 @@ def _expect(fn, n0: float, amp2: float, fading: bool) -> float:
     return sum(quad(g, lo, hi, **_OUTER)[0] for lo, hi in ((-60.0, knee), (knee, 5.0)))
 
 
-def reference(cons: str, n0: float, fading: bool) -> dict:
-    """Capacities, sub-channel second moments and E0 at rho in (0.5, 1) for "BPSK" or "QPSK".
+# Gray PAM4 levels of axis labels 0..3, before the 1/sqrt(10) of unit QAM16 energy
+_PAM4 = (-3.0, -1.0, 3.0, 1.0)
 
-    Keys: ``c_cm``, ``c_pbicm``, ``m2_sub`` (one value, shared by every
-    bit), and ``e0_wbar``/``e0_unconstrained``, dicts from rho to E0, bits.
+
+def _lse2(a: float, b: float) -> float:
+    """ln(e^a + e^b) without overflow or underflow."""
+    return (a if a > b else b) + math.log1p(math.exp(-abs(a - b)))
+
+
+def _pam4_given_label(t: float, k: int, s: float) -> list:
+    """Integrands at standardized output t given axis label k sent.
+
+    Order: i of the label, then (i, i^2) of bit 1 and of bit 2, then for each
+    rho in RHOS the E0 ratios of bit 1, bit 2 and the label.
     """
+    lp = [-0.5 * (t - s * level) ** 2 for level in _PAM4]  # log densities up to a common constant
+    # log W(t | bit): bit 1 (MSB) splits the labels {0, 1} | {2, 3}, bit 2 splits {0, 2} | {1, 3}
+    lw = (
+        (_lse2(lp[0], lp[1]) - LN2, _lse2(lp[2], lp[3]) - LN2),
+        (_lse2(lp[0], lp[2]) - LN2, _lse2(lp[1], lp[3]) - LN2),
+    )
+    lbar = _lse2(*lw[0]) - LN2
+    out = [(lp[k] - lbar) / LN2]
+    for p in (0, 1):
+        i = (lw[p][(k >> (1 - p)) & 1] - lbar) / LN2
+        out += [i, i * i]
+    for rho in RHOS:
+        q = 1.0 / (1.0 + rho)
+        for p in (0, 1):
+            out.append(math.exp((_lse2(q * lw[p][0], q * lw[p][1]) - LN2) / q - lbar))
+        out.append(math.exp((_lse2(_lse2(q * lp[0], q * lp[1]), _lse2(q * lp[2], q * lp[3])) - LN4) / q - lbar))
+    return out
+
+
+def _pam4(s: float) -> np.ndarray:
+    """Per-axis expectations of ``_pam4_given_label`` over the label and the noise, at level scale s."""
+
+    def f(z):
+        g = math.exp(-0.5 * z * z) / _SQRT_2PI
+        a, b = _pam4_given_label(s * _PAM4[0] + z, 0, s), _pam4_given_label(s * _PAM4[1] + z, 1, s)
+        return np.array([0.5 * g * (x + y) for x, y in zip(a, b)])
+
+    # the Gaussian weight is below 1e-31 beyond |z| = 12, and every integrand grows at most like z^2 there
+    return quad_vec(f, -12.0, 12.0, points=(-4.0, 0.0, 4.0), epsabs=1e-10, epsrel=1e-8, norm="max")[0]
+
+
+def _qam16(n0: float, fading: bool) -> dict:
+    def axis_values(u):
+        v = _pam4(math.sqrt(math.exp(u) / (5.0 * n0)))
+        # the full-input E0 ratio of the two axes multiplies inside the fading expectation
+        return np.concatenate([v, [v[7] ** 2, v[10] ** 2]])
+
+    if fading:
+        knee = min(max(math.log(5.0 * n0), -59.0), 4.0)
+        g = lambda u: math.exp(u - math.exp(u)) * axis_values(u)
+        e = sum(
+            quad_vec(g, lo, hi, epsabs=1e-8, epsrel=1e-8, norm="max")[0] for lo, hi in ((-60.0, knee), (knee, 5.0))
+        )
+    else:
+        e = axis_values(0.0)
+    out = {
+        "c_cm": 2.0 * e[0],
+        "c_pbicm": 2.0 * (e[1] + e[3]),
+        "m2_sub": [e[2], e[4], e[2], e[4]],
+        "e0_wbar": {},
+        "e0_unconstrained": {},
+    }
+    for n, rho in enumerate(RHOS):
+        out["e0_wbar"][rho] = -math.log2(0.5 * (e[5 + 3 * n] + e[6 + 3 * n]))
+        out["e0_unconstrained"][rho] = -math.log2(e[11 + n])
+    return out
+
+
+def reference(cons: str, n0: float, fading: bool) -> dict:
+    """Capacities, sub-channel second moments and E0 at rho in RHOS for "BPSK", "QPSK" or "QAM16".
+
+    Keys: ``c_cm``, ``c_pbicm``, ``m2_sub`` (one value per bit), and
+    ``e0_wbar``/``e0_unconstrained``, dicts from rho to E0, bits.
+    """
+    if cons == "QAM16":
+        return _qam16(n0, fading)
     if cons not in ("BPSK", "QPSK"):
-        raise ValueError("the oracle covers BPSK and QPSK")
+        raise ValueError("the oracle covers BPSK, QPSK and QAM16")
     bits, amp2 = (1, 1.0) if cons == "BPSK" else (2, 0.5)
     c = _expect(lambda mu: _bpsk("c", mu, 0.0), n0, amp2, fading)
     out = {
         "c_cm": bits * c,
         "c_pbicm": bits * c,
-        "m2_sub": _expect(lambda mu: _bpsk("m2", mu, 0.0), n0, amp2, fading),
+        "m2_sub": [_expect(lambda mu: _bpsk("m2", mu, 0.0), n0, amp2, fading)] * bits,
         "e0_wbar": {},
         "e0_unconstrained": {},
     }
-    for rho in (0.5, 1.0):
+    for rho in RHOS:
         g = lambda mu, rho=rho: _bpsk("g", mu, rho)
         out["e0_wbar"][rho] = -math.log2(_expect(g, n0, amp2, fading))
         out["e0_unconstrained"][rho] = -math.log2(_expect(lambda mu: g(mu) ** bits, n0, amp2, fading))

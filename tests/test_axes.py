@@ -1,0 +1,147 @@
+"""The independent-axis factorization of constellations, and the pipeline run on it.
+
+Every layer runs a constellation axis by axis.  For the product labelings
+(BPSK, QPSK, QAM16, QAM64) that is an exact reduction to 1-D PAM axes; run
+at equal node counts, it must agree with the same pipeline run on the whole
+constellation as one 2-D axis up to rounding.
+"""
+import warnings
+
+import numpy as np
+import pytest
+
+from pbicm import _ensemble, infotheory, kernels
+from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, make_rng
+from pbicm.constellation import Axis, Constellation, make_constellation
+from pbicm.subchannel import SubchannelView, llr_matrix
+
+from conftest import random_stochastic
+
+FACTORED = ("BPSK", "QPSK", "QAM16", "QAM64")
+RHOS = (0.3, 1.0, 2.0)
+GH, GL = 8, 16  # small equal node counts keep the 2-D route of QAM64 cheap
+
+
+def _whole_plane(cons: Constellation) -> tuple[Axis, ...]:
+    pts = np.stack([cons.symbols.real, cons.symbols.imag], axis=1)
+    return (Axis(tuple(range(cons.L)), (0, 1), pts),)
+
+
+def _channel(kind: str, snr_db: float = 8.0):
+    return (Awgn if kind == "awgn" else RayleighCsi)(Snr(snr_db).n0)
+
+
+def _results(base, cons, y, h):
+    """Moments, E0 integrals and LLRs from the uncached pipeline at (GH, GL) nodes."""
+    ens = _ensemble.Ensemble(cons, list(_ensemble.iter_snapshots(base, cons)))
+    return {
+        "moments": np.concatenate(_ensemble._moment_pass(base, cons, GH, GL)),
+        "sub_e0": np.array([ens.sub_integrals(rho) for rho in RHOS]),
+        "mary_e0": np.array([ens.mary_integral(rho) for rho in RHOS]),
+        "llr": llr_matrix(base, cons, y, h) if isinstance(base, RayleighCsi) else llr_matrix(base, cons, y),
+    }
+
+
+def _outputs(n=500, seed=21):
+    g = make_rng(seed)
+    return g.normal(size=n) + 1j * g.normal(size=n), (g.normal(size=n) + 1j * g.normal(size=n)) / np.sqrt(2)
+
+
+def _both_routes(monkeypatch, base, cons, y, h):
+    monkeypatch.setattr(_ensemble, "GH_NODES", GH)
+    monkeypatch.setattr(_ensemble, "GL_NODES", GL)
+    axes = _results(base, cons, y, h)
+    monkeypatch.setattr(Constellation, "axes", property(_whole_plane), raising=False)
+    return axes, _results(base, cons, y, h)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("BPSK", [((0,), (0,))]),
+        ("QPSK", [((0,), (0,)), ((1,), (1,))]),
+        ("QAM16", [((0, 1), (0,)), ((2, 3), (1,))]),
+        ("QAM64", [((0, 1, 2), (0,)), ((3, 4, 5), (1,))]),
+        ("PSK8", [((0, 1, 2), (0, 1))]),
+    ],
+)
+def test_axes_follow_points_and_labels(name, expected):
+    cons = make_constellation(name)
+    assert [(a.bits, a.dims) for a in cons.axes] == expected
+    for axis in cons.axes:
+        assert axis.points.shape == (2**axis.L, len(axis.dims))
+        # the symbol of every label has the axis point of the label's axis bits
+        for b in range(cons.m):
+            k = int("".join(str((b >> (cons.L - 1 - s)) & 1) for s in axis.bits), 2)
+            coords = np.array([cons.symbols[b].real, cons.symbols[b].imag])[list(axis.dims)]
+            np.testing.assert_array_equal(coords, axis.points[k])
+
+
+def test_rotated_qam_is_one_plane_axis():
+    # the split is read from the points, not the name: a rotated QPSK does not split
+    q = make_constellation("QPSK")
+    rotated = Constellation("QPSK", 2, q.points * np.exp(0.3j), q.labels)
+    assert [(a.bits, a.dims) for a in rotated.axes] == [((0, 1), (0, 1))]
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("name", FACTORED)
+def test_axis_route_matches_plane_route_at_equal_nodes(monkeypatch, name, kind):
+    cons, base = make_constellation(name), _channel(kind)
+    axes, plane = _both_routes(monkeypatch, base, cons, *_outputs())
+    for key in ("moments", "sub_e0", "mary_e0"):
+        np.testing.assert_allclose(axes[key], plane[key], rtol=0, atol=1e-12, err_msg=key)
+    np.testing.assert_allclose(axes["llr"], plane["llr"], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh", "dmc"])
+def test_plane_and_exact_block_routes_are_unchanged_bit_for_bit(monkeypatch, kind):
+    # PSK8 is one 2-D axis and a Dmc one exact-block axis whatever the labels:
+    # forcing the whole-plane route changes nothing, and neither does running
+    # one channel state (or one demapped sample) per block, as the states
+    # were once looped
+    cons = make_constellation("PSK8")
+    base = Dmc(random_stochastic(np.random.default_rng(8), 8, 6)) if kind == "dmc" else _channel(kind, 5.0)
+    blocks = kernels.BLOCK_ENTRIES
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(_ensemble, "GH_NODES", GH)
+    monkeypatch.setattr(_ensemble, "GL_NODES", GL)
+    y, h = (np.arange(6).repeat(2), None) if kind == "dmc" else _outputs()
+    per_state = _results(base, cons, y, h)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", blocks)
+    axes, plane = _both_routes(monkeypatch, base, cons, y, h)
+    for key in per_state:
+        np.testing.assert_array_equal(axes[key], per_state[key], err_msg=key)
+        np.testing.assert_array_equal(axes[key], plane[key], err_msg=key)
+
+
+def test_rayleigh_qam64_llrs_match_subchannel_law():
+    cons, base = make_constellation("QAM64"), RayleighCsi(0.2)
+    y, h = _outputs(n=300, seed=4)
+    z = llr_matrix(base, cons, y, h)
+    for i in range(1, cons.L + 1):
+        v = SubchannelView(base, cons, i)
+        for k in range(0, 300, 7):
+            want = np.log(v.prob((y[k], h[k]), 0) / v.prob((y[k], h[k]), 1))
+            assert z[i - 1, k] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["QAM64", "PSK8"])
+def test_llrs_of_vanishing_fading(name):
+    cons, base = make_constellation(name), RayleighCsi(0.1)
+    y = np.array([0.7 - 1.3j, 0.7 - 1.3j, -2.0 + 0.5j])
+    h = np.array([0.0, 1e-200 * (0.6 + 0.8j), 1e-200j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = llr_matrix(base, cons, y, h)
+    assert np.all(z[:, 0] == 0.0)  # no fading gain: the output says nothing
+    assert np.all(np.isfinite(z))
+    assert np.all(np.abs(z[:, 1:]) < 1e-150)
+
+
+@pytest.mark.parametrize("snr_db", [-30.0, -10.0, 0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 100.0])
+def test_qam16_rayleigh_quadrature_converges(snr_db):
+    base, cons = RayleighCsi(Snr(snr_db).n0), make_constellation("QAM16")
+    rep = infotheory.dispersion_report(base, cons)
+    assert infotheory.capacity_cm(base, cons) >= rep.c_pbicm - _ensemble.CONVERGENCE_TOL
+    assert np.isfinite(infotheory.e0_evaluator(base, cons, "WbarCombined").e0(1.0))

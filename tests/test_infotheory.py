@@ -543,7 +543,7 @@ def test_moment_quadrature_stops_at_first_non_finite_pass(monkeypatch):
 
 @pytest.mark.parametrize("snr_db", [-30.0, -10.0, 0.0, 10.0, 20.0, 30.0, 50.0, 100.0])
 @pytest.mark.parametrize("fading", [False, True], ids=["awgn", "rayleigh"])
-@pytest.mark.parametrize("cons_name", ["BPSK", "QPSK"])
+@pytest.mark.parametrize("cons_name", ["BPSK", "QPSK", "QAM16"])
 def test_quadrature_matches_adaptive_oracle_or_raises(cons_name, fading, snr_db):
     # a gate that compares two node counts can pass a value both counts
     # miss; the oracle shares none of the library's rules.  Raising is an
@@ -559,8 +559,8 @@ def test_quadrature_matches_adaptive_oracle_or_raises(cons_name, fading, snr_db)
     else:
         assert capacity_cm(base, cons) == pytest.approx(ref["c_cm"], abs=tol)
         assert capacity_pbicm(base, cons) == pytest.approx(ref["c_pbicm"], abs=tol)
-        for c, v in rep.per_subchannel:
-            assert v + c * c == pytest.approx(ref["m2_sub"], abs=tol)
+        for (c, v), m2 in zip(rep.per_subchannel, ref["m2_sub"], strict=True):
+            assert v + c * c == pytest.approx(m2, abs=tol)
     for kind, key in (("WbarCombined", "e0_wbar"), ("Unconstrained", "e0_unconstrained")):
         ev = e0_evaluator(base, cons, kind)
         for rho, want in ref[key].items():

@@ -17,11 +17,12 @@ def _random_outputs(n, seed=0):
 
 
 def test_llr_no_fading_matches_unit_h():
-    cons = make_constellation("PSK8")
-    sets = label_sets(cons.L)
+    (axis,) = make_constellation("PSK8").axes  # one 2-D axis over every bit
+    sets = label_sets(axis.L)
     y, _ = _random_outputs(1000, seed=3)
-    a = kernels.llr_batch(y, None, cons.symbols, 0.5, sets, LLR_MAX)
-    b = kernels.llr_batch(y, np.ones_like(y), cons.symbols, 0.5, sets, LLR_MAX)
+    coords = np.stack([y.real, y.imag], axis=1)
+    a = kernels.llr_batch(coords, None, axis.points, 0.5, sets, LLR_MAX)
+    b = kernels.llr_batch(coords, np.ones(y.size), axis.points, 0.5, sets, LLR_MAX)
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
