@@ -35,6 +35,12 @@ from .subchannel import check_labeling, llr_matrix
 
 MAX_CODEBOOK = 2**16
 _CHUNK = 8192
+# ML decoding scores a block of rows at a time into one buffer of this many
+# float64 entries (8 MiB): 256 rows for M = 4096.  Median time of a 2048-row
+# decode with M = 4096 and n = 64 (2-core x86 VM, one OpenBLAS thread) by
+# rows per block: 8 rows 60 ms, 32 rows 36 ms, 128 rows 31 ms, 256 rows
+# 30 ms, 512 rows 30 ms; the whole (2048, 4096) score array at once, 47 ms.
+_SCORE_BLOCK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +178,26 @@ def ml_decode(code: BinaryCode, z: np.ndarray) -> int:
 
 
 def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
-    """ML message of every length-n row of a (..., n) LLR batch, as one GEMM."""
-    signs = 1.0 - 2.0 * code.codebook.astype(float)  # (M, n)
-    scores = Z.reshape(-1, code.n) @ signs.T
-    return np.argmax(scores, axis=-1).reshape(Z.shape[:-1])
+    """ML message of every length-n row of a (..., n) LLR batch, lowest index on ties.
+
+    The rows are scored against all M codewords a block of rows at a time,
+    each block GEMMed into one reused buffer of about ``_SCORE_BLOCK``
+    entries, so memory stays bounded whatever M and the batch size are.
+    """
+    if Z.shape[-1] != code.n:
+        raise ValueError(f"LLR rows have length {Z.shape[-1]}, but the code blocklength is {code.n}")
+    rows = Z.reshape(-1, code.n)
+    signs_t = np.ascontiguousarray(code.codebook.T, dtype=float)  # (n, M)
+    signs_t *= -2.0
+    signs_t += 1.0  # +1 for a 0 bit, -1 for a 1 bit
+    R, step = len(rows), max(1, _SCORE_BLOCK // code.M)
+    buf = np.empty((min(step, R), code.M))
+    out = np.empty(R, dtype=np.intp)
+    for k in range(0, R, step):
+        scores = buf[: R - k]  # the last block may be short
+        np.matmul(rows[k : k + step], signs_t, out=scores)
+        scores.argmax(axis=-1, out=out[k : k + step])
+    return out.reshape(Z.shape[:-1])
 
 
 def _map_and_sample(base: ChannelModel, cons: Constellation, lab: np.ndarray, rng):
@@ -248,6 +270,9 @@ def pbicm_receive(
     cons: Constellation,
 ) -> np.ndarray:
     """Demap, de-interleave, de-dither and ML-decode all L levels."""
+    for a in y if isinstance(base, RayleighCsi) else (y,):
+        if np.shape(a) != state.s.shape:
+            raise ValueError(f"channel outputs have shape {np.shape(a)}, but the state has length {state.s.size}")
     return _ml_decode_batch(code, _receive_llrs(base, cons, y, state.d, state.s))
 
 
@@ -362,6 +387,9 @@ def simulate(cfg: PbicmSimConfig) -> SimulationResult:
     """
     code, cons = cfg.code, cfg.cons
     L = cons.L
+    # The decoder's score block bounds memory; the chunk size only fixes
+    # which substream each trial draws from.  The formula is kept so that
+    # results for M > 512 codes do not change.
     chunk = max(1, min(_CHUNK, (1 << 22) // code.M))
     n_block = 0
     n_lvl = np.zeros(L, dtype=np.int64)

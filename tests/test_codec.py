@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, make_rng, save_dmc
 from pbicm.codec import (
     BinaryCode,
     PbicmSimConfig,
+    _SCORE_BLOCK,
     _ml_decode_batch,
     PbicmState,
     apply_dither,
@@ -178,14 +180,49 @@ def test_ml_decode_noiseless_hamming():
         assert ml_decode(c, z) == msg
 
 
-def test_ml_decode_batch_matches_per_row():
-    code = random_codebook(64, 4096, seed=1)
-    Z = make_rng(2).normal(size=(5, 2, 64))
+_RANDOM_4096 = random_codebook(64, 4096, seed=1)
+_BLOCK_ROWS = _SCORE_BLOCK // _RANDOM_4096.M  # rows per score block of that code
+
+
+@pytest.mark.parametrize(
+    "code, shape, zero_rows",
+    [
+        (_RANDOM_4096, (5, 2, 64), ()),
+        # two full score blocks and a short third one, a tied row in each
+        (_RANDOM_4096, (_BLOCK_ROWS + 47, 2, 64), (0, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 93)),
+        (_RANDOM_4096, (0, 64), ()),
+        (repetition(9), (40, 9), (3, 17)),
+    ],
+    ids=["one-block", "three-blocks-with-ties", "empty", "repetition-M2"],
+)
+def test_ml_decode_batch_matches_per_row(code, shape, zero_rows):
+    Z = make_rng(2).normal(size=shape)
+    rows = Z.reshape(-1, code.n)
+    rows[list(zero_rows)] = 0.0
     dec = _ml_decode_batch(code, Z)
-    assert dec.shape == (5, 2)
+    assert dec.shape == shape[:-1]
     signs = 1.0 - 2.0 * code.codebook.astype(float)
-    np.testing.assert_array_equal(dec, [[ml_decode(code, z) for z in row] for row in Z])
-    np.testing.assert_array_equal(dec, [[np.argmax(signs @ z) for z in row] for row in Z])
+    np.testing.assert_array_equal(dec.ravel(), [ml_decode(code, z) for z in rows])
+    np.testing.assert_array_equal(dec.ravel(), [np.argmax(signs @ z) for z in rows])
+    # an all-zero row ties every codeword: the lowest message index wins
+    assert not dec.ravel()[list(zero_rows)].any()
+
+
+def test_ml_decode_batch_rejects_wrong_blocklength():
+    with pytest.raises(ValueError, match="length 14, but the code blocklength is 7"):
+        _ml_decode_batch(hamming74(), np.zeros((2, 14)))
+
+
+def test_ml_decode_batch_memory_bounded():
+    # one score block, not the whole (2048, 4096) float64 score array (64 MiB)
+    Z = make_rng(3).normal(size=(1024, 2, 64))
+    tracemalloc.start()
+    try:
+        _ml_decode_batch(_RANDOM_4096, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +249,22 @@ def test_round_trip_high_snr_awgn():
     msgs = np.array([5, 12])
     y = pbicm_transmit(msgs, code, state, ch, QPSK, rng)
     np.testing.assert_array_equal(pbicm_receive(y, state, code, ch, QPSK), msgs)
+
+
+def test_receive_rejects_mismatched_lengths():
+    code = hamming74()
+    ch = Awgn(1.0)
+    # a 14-long state with a blocklength-7 code
+    state = make_state(2, 14, make_rng(0))
+    with pytest.raises(ValueError, match="length 14, but the code blocklength is 7"):
+        pbicm_receive(np.zeros(14, dtype=complex), state, code, ch, QPSK)
+    # outputs shorter than the state, bare and with their fading gains
+    state = make_state(2, code.n, make_rng(0))
+    with pytest.raises(ValueError, match="state has length 7"):
+        pbicm_receive(np.zeros(6, dtype=complex), state, code, ch, QPSK)
+    with pytest.raises(ValueError, match="state has length 7"):
+        pbicm_receive((np.zeros(7, dtype=complex), np.ones(6, dtype=complex)), state, code,
+                      RayleighCsi(1.0), QPSK)
 
 
 def test_transmit_validation():
@@ -331,11 +384,25 @@ def _pinned_dmc():
             {"block_errors": 2927, "level_errors": [2621, 2612], "bit_errors": [5339, 5297],
              "wbar_errors": 2638, "message_bits": 4},
         ),
+        (
+            _RANDOM_4096, "QPSK", Awgn(Snr(-5.0).n0), 2500, 3,
+            {"block_errors": 1184, "level_errors": [669, 698], "bit_errors": [3978, 4276],
+             "wbar_errors": 656, "message_bits": 12},
+        ),
+        (
+            hamming74(), "QAM64", Awgn(Snr(11.0).n0), 20000, 3,
+            {"block_errors": 12354, "level_errors": [2877, 2910, 2730, 2815, 2754, 2859],
+             "bit_errors": [5269, 5331, 4975, 5170, 5167, 5246], "wbar_errors": 2743,
+             "message_bits": 4},
+        ),
     ],
-    ids=["qpsk-awgn-hamming", "qam16-rayleigh-rep5", "qpsk-dmc4x5-hamming"],
+    ids=["qpsk-awgn-hamming", "qam16-rayleigh-rep5", "qpsk-dmc4x5-hamming",
+         "qpsk-awgn-random4096", "qam64-awgn-hamming"],
 )
 def test_simulate_counts_pinned(code, kind, channel, trials, seed, counts):
-    # exact counters pin the generator draw order, across chunks (9000 > 8192)
+    # exact counters pin the generator draw order and the decoder's decisions,
+    # across chunks (9000 > 8192; 2500 trials are 3 chunks of at most 1024 for
+    # M = 4096) and across score blocks (256 rows for M = 4096)
     cfg = PbicmSimConfig(code, make_constellation(kind), channel, trials=trials, seed=seed)
     assert simulate(cfg).counts == counts
 
