@@ -26,9 +26,11 @@ is a channel state with the points scaled by |h|.  The states are an array
 axis of every block.  The other channels have one unit state.
 
 The axes are combined inside each channel state: a sub-channel's moments and
-E0 come from its axis; the full-input information density is the sum of the
-axes' (E[i] adds, and E[i^2] = sum_a E[i_a^2] + 2 sum_{a<b} E[i_a] E[i_b]),
-and its 2**-E0 is the product of the axes' Gallager integrals.
+E0 come from its axis, by the same sums as the axis's full input (a
+sub-channel is a two-row channel, W_s(y|0) and W_s(y|1)); the full-input
+information density is the sum of the axes' (E[i] adds, and E[i^2] =
+sum_a E[i_a^2] + 2 sum_{a<b} E[i_a] E[i_b]), and its 2**-E0 is the product
+of the axes' Gallager integrals.
 
 Moments are reduced block by block (``moment_table``, gated by node
 doubling; a Dmc is exact).  E0 needs whole-grid sums for many rho values, so
@@ -101,10 +103,9 @@ class Ensemble:
         v = self.sub_e0.get(rho)
         if v is None:
             v = np.zeros(self.L)
-            for snap in self.snapshots:
-                for p, s in enumerate(snap.bits):
-                    g = kernels.e0_binary_integral(snap.log_sub[p, 0], snap.log_sub[p, 1], snap.int_w, rho)
-                    v[s] = _state_sum(snap.weight * g)
+            for snap in self.snapshots:  # one two-row Gallager sum serves all the axis's bits
+                g = kernels.e0_mary_integral(snap.log_sub.swapaxes(0, 1), snap.int_w, rho)  # (La, F)
+                v[list(snap.bits)] = _state_sum((snap.weight * g).T)
             self.sub_e0[rho] = v
         return v
 
@@ -260,19 +261,20 @@ def _moment_pass(base: ChannelModel, cons: Constellation, gh: int, gl: int):
         ma, La = len(axis.points), axis.L
         arange = np.arange(La)
         lab_bits = int_to_bits(np.arange(ma), La)  # (ma, La)
-        sub = np.empty((F, ma, 2, La))  # per state and label: E[i_s], E[i_s^2] of the axis bits
-        full = np.empty((F, ma, 2))  # per state and label: E[i_a], E[i_a^2] of the axis label
+        # per state and label: E[i], E[i^2] of each axis bit sent (a two-row
+        # sub-channel), then of the axis label sent (the ma-row axis channel)
+        mom = np.empty((F, ma, 2, La + 1))
         for st in _state_blocks(F, ma * int(_block_sizes(base, cons, axis, gh).max())):
             for j in range(ma):
                 log_rows, log_sub, log_pbar, wk = _symbol_block(base, cons, axis, scale[st], j, gh)
-                isel = np.moveaxis((log_sub[arange, lab_bits[j]] - log_pbar) / LN2, 1, 0)  # i of the bits sent
-                io = (log_rows[j] - log_pbar) / LN2  # i of the axis label sent
-                sub[st, j, 0], sub[st, j, 1] = isel @ wk, (isel * isel) @ wk
-                full[st, j, 0], full[st, j, 1] = kernels.row_dot(io, wk), kernels.row_dot(io * io, wk)
+                sent = np.concatenate([log_sub[arange, lab_bits[j]], log_rows[j][None]])  # (La+1, F', K)
+                i = np.moveaxis((sent - log_pbar) / LN2, 1, 0)
+                mom[st, j, 0], mom[st, j, 1] = i @ wk, (i * i) @ wk
         # states outer, labels inner: the order a loop over states and labels adds the terms in
-        m1[list(axis.bits)], m2[list(axis.bits)] = _state_sum((w[:, None, None, None] * sub / ma).reshape(-1, 2, La))
-        cm += _state_sum((w[:, None, None] * full / ma).reshape(-1, 2))
-        e = full[:, :, 0].mean(axis=1)
+        tot = _state_sum((w[:, None, None, None] * mom / ma).reshape(-1, 2, La + 1))
+        m1[list(axis.bits)], m2[list(axis.bits)] = tot[:, :La]
+        cm += tot[:, La]
+        e = mom[:, :, 0, La].mean(axis=1)
         for e_b in means:
             cross += e * e_b
         means.append(e)

@@ -148,17 +148,11 @@ def sample(ch: ChannelModel, x, rng: np.random.Generator):
     ``(y, h)`` pair (RayleighCsi).
     """
     if isinstance(ch, Dmc):
-        xi = int(x)
-        if not 0 <= xi < ch.nx:
+        if not 0 <= int(x) < ch.nx:
             raise ValueError("input outside channel alphabet")
-        return int(rng.choice(ch.ny, p=ch.matrix[xi]))
-    if isinstance(ch, Awgn):
-        n = rng.normal(scale=np.sqrt(ch.n0 / 2), size=2)
-        return complex(x) + complex(n[0], n[1])
-    g = rng.normal(scale=np.sqrt(0.5), size=2)
-    h = complex(g[0], g[1])
-    n = rng.normal(scale=np.sqrt(ch.n0 / 2), size=2)
-    return complex(h * x) + complex(n[0], n[1]), h
+        return int(sample_batch(ch, np.asarray(int(x)), rng))
+    out = sample_batch(ch, np.asarray(complex(x)), rng)
+    return complex(out) if isinstance(ch, Awgn) else (complex(out[0]), complex(out[1]))
 
 
 def sample_batch(ch: ChannelModel, x: np.ndarray, rng: np.random.Generator):

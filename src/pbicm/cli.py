@@ -4,8 +4,8 @@ Subcommands: capacity, exponents, dispersion, ratebounds, simulate, verify,
 constellation.  A JSON --config file may supply defaults for any long option
 (keys use either dashes or underscores); explicit command-line flags win.
 CSV floats carry 9 significant digits and sweep rows are emitted in sorted
-order, so reruns with the same inputs are byte-identical.  PBICM_WORKERS
-sets the process count used for sweep points.
+order, so reruns with the same inputs are byte-identical.  PBICM_WORKERS,
+a positive integer, sets the process count used for sweep points.
 """
 from __future__ import annotations
 
@@ -29,10 +29,10 @@ def _fmt(v: float) -> str:
 
 
 def _nworkers() -> int:
-    try:
-        return max(1, int(os.environ.get("PBICM_WORKERS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("PBICM_WORKERS", "1")
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ValueError(f"PBICM_WORKERS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _map_points(fn, points):
@@ -62,8 +62,14 @@ def _make_channel(kind: str, snr_db, dmc_file):
 
 def _snr_points(args) -> list[float]:
     if getattr(args, "snr_sweep", None):
-        lo, hi, num = args.snr_sweep.split(":")
-        return [float(v) for v in np.linspace(float(lo), float(hi), int(num))]
+        try:
+            lo, hi, num = args.snr_sweep.split(":")
+            lo, hi, num = float(lo), float(hi), int(num)
+        except ValueError:
+            num = 0
+        if num < 1:
+            raise ValueError(f"--snr-sweep must be LO:HI:NUM with NUM >= 1, got {args.snr_sweep!r}")
+        return [float(v) for v in np.linspace(lo, hi, num)]
     return [math.nan if args.snr_db is None else float(args.snr_db)]
 
 
@@ -117,6 +123,8 @@ def _exponent_point(item):
 def _rate_grid(args, base, cons) -> list[float]:
     if args.rates:
         return sorted(float(v) for v in args.rates.split(","))
+    if args.rate_points < 1:
+        raise ValueError(f"--rate-points must be >= 1, got {args.rate_points}")
     hi = args.rate_max
     if hi is None:
         hi = infotheory.capacity_pbicm(base, cons)
@@ -301,14 +309,18 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-_GLOBALS = ("seed", "out", "config")
+def _global_flags() -> argparse.ArgumentParser:
+    """--seed, --out and --config: the parent of the top parser and of every subcommand.
 
-
-def _add_globals(p: argparse.ArgumentParser, suppress: bool) -> None:
-    d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--seed", type=int, default=d, help="global RNG seed")
-    p.add_argument("--out", default=d, help="output file (default stdout)")
-    p.add_argument("--config", default=d, help="JSON file with flag defaults")
+    So they may stand before or after the subcommand.  SUPPRESS leaves a
+    flag that is not given out of the namespace, so a subcommand does not
+    clobber a value given before it; ``main`` presets the absent ones.
+    """
+    g = argparse.ArgumentParser(prog="pbicm", add_help=False, exit_on_error=False)
+    g.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="global RNG seed")
+    g.add_argument("--out", default=argparse.SUPPRESS, help="output file (default stdout)")
+    g.add_argument("--config", default=argparse.SUPPRESS, help="JSON file with flag defaults")
+    return g
 
 
 def _add_channel_opts(p: argparse.ArgumentParser) -> None:
@@ -318,70 +330,54 @@ def _add_channel_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dmc-file", default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pbicm", description=__doc__)
-    _add_globals(ap, suppress=False)
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The pbicm parser; ``defaults`` (dest -> value, e.g. from a --config file) replace subcommand flag defaults."""
+    common = _global_flags()
+    ap = argparse.ArgumentParser(prog="pbicm", description=__doc__, parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)
-    subparsers = []
 
-    p = sub.add_parser("capacity", help="CM/parallel capacities over an SNR sweep")
+    p = sub.add_parser("capacity", parents=[common], help="CM/parallel capacities over an SNR sweep")
     _add_channel_opts(p)
     p.add_argument("--snr-sweep", default=None, metavar="LO:HI:NUM")
     p.set_defaults(fn=cmd_capacity)
-    subparsers.append(p)
 
-    p = sub.add_parser("exponents", help="exponent families over a rate grid")
+    p = sub.add_parser("exponents", parents=[common], help="exponent families over a rate grid")
     _add_channel_opts(p)
     p.add_argument("--rates", default=None, help="comma-separated total rates (bits/channel use)")
     p.add_argument("--rate-min", type=float, default=0.05)
     p.add_argument("--rate-max", type=float, default=None)
     p.add_argument("--rate-points", type=int, default=12)
     p.set_defaults(fn=cmd_exponents)
-    subparsers.append(p)
 
-    p = sub.add_parser("dispersion", help="dispersion report as JSON")
+    p = sub.add_parser("dispersion", parents=[common], help="dispersion report as JSON")
     _add_channel_opts(p)
     p.set_defaults(fn=cmd_dispersion)
-    subparsers.append(p)
 
-    p = sub.add_parser("ratebounds", help="finite-blocklength rate bracket")
+    p = sub.add_parser("ratebounds", parents=[common], help="finite-blocklength rate bracket")
     _add_channel_opts(p)
     p.add_argument("--blocklengths", default="100,1000,10000")
     p.add_argument("--pe", default="1e-3", help="comma-separated target error probabilities")
     p.set_defaults(fn=cmd_ratebounds)
-    subparsers.append(p)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo run from a JSON spec")
+    p = sub.add_parser("simulate", parents=[common], help="Monte-Carlo run from a JSON spec")
     p.add_argument("--sim-config", required=True, help="JSON simulation spec")
     p.set_defaults(fn=cmd_simulate)
-    subparsers.append(p)
 
-    p = sub.add_parser("verify", help="self-check suite; exit 0 iff all pass")
+    p = sub.add_parser("verify", parents=[common], help="self-check suite; exit 0 iff all pass")
     p.add_argument("--inject-fault", choices=("no-dither",), default=None)
     p.set_defaults(fn=cmd_verify)
-    subparsers.append(p)
 
-    p = sub.add_parser("constellation", help="dump a labeled constellation as JSON")
+    p = sub.add_parser("constellation", parents=[common], help="dump a labeled constellation as JSON")
     p.add_argument("--constellation", choices=KINDS, required=True)
     p.set_defaults(fn=cmd_constellation)
-    subparsers.append(p)
 
-    # globals are also accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values parsed before it
-    for p in subparsers:
-        _add_globals(p, suppress=True)
-    ap._pbicm_subparsers = subparsers  # type: ignore[attr-defined]
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return ap
 
 
-def _config_values(argv: list[str]) -> dict:
-    """Flag defaults from the ``--config FILE`` or ``--config=FILE`` file (the last one given)."""
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.partition("=")[2]
+def _config_values(path: str | None) -> dict:
+    """Flag defaults, keyed by dest, from the JSON object in ``path`` (none without a path)."""
     if path is None:
         return {}
     try:
@@ -390,23 +386,21 @@ def _config_values(argv: list[str]) -> dict:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(vals, dict):
         raise ValueError(f"{path}: expected a JSON object of flag defaults")
-    return vals
+    return {k.replace("-", "_"): v for k, v in vals.items()}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        norm = {k.replace("-", "_"): v for k, v in _config_values(argv).items()}
-        norm.pop("config", None)
-        ap = build_parser()
-        if norm:
-            ap.set_defaults(**norm)
-            for p in ap._pbicm_subparsers:  # type: ignore[attr-defined]
-                p.set_defaults(**norm)
-        args = ap.parse_args(argv)
-        for name in _GLOBALS:
-            if not hasattr(args, name):
-                setattr(args, name, norm.get(name))
+        try:
+            given, _ = _global_flags().parse_known_args(argv)
+        except argparse.ArgumentError:
+            given = argparse.Namespace()  # a malformed global flag: the full parse below reports it
+        defaults = _config_values(getattr(given, "config", None))
+        defaults.pop("config", None)
+        # a global flag that is not given takes the config's value, else None
+        start = argparse.Namespace(seed=defaults.pop("seed", None), out=defaults.pop("out", None), config=None)
+        args = build_parser(defaults).parse_args(argv, start)
         return args.fn(args)
     except OSError as exc:
         # an input file that cannot be read or an output that cannot be written

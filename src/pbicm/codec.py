@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,13 @@ class BinaryCode:
     @property
     def message_bits(self) -> int:
         return max(1, math.ceil(math.log2(self.M)))
+
+    @cached_property
+    def signs_t(self) -> np.ndarray:
+        """Read-only (n, M) matrix of the codewords as columns, +1 for a 0 bit and -1 for a 1 bit; built once."""
+        signs = np.ascontiguousarray(1.0 - 2.0 * self.codebook.T)
+        signs.setflags(write=False)
+        return signs
 
 
 def repetition(n: int) -> BinaryCode:
@@ -154,10 +162,7 @@ def interleave(B: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def deinterleave(Z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Inverse column shift of a (..., L, n) bit or LLR batch, states (..., n)."""
-    Z = np.asarray(Z)
-    L = Z.shape[-2]
-    rows = (np.arange(L)[:, None] - np.asarray(s)[..., None, :]) % L
-    return np.take_along_axis(Z, rows, axis=-2)
+    return interleave(Z, -np.asarray(s))
 
 
 def apply_dither(bits: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -187,15 +192,12 @@ def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
     if Z.shape[-1] != code.n:
         raise ValueError(f"LLR rows have length {Z.shape[-1]}, but the code blocklength is {code.n}")
     rows = Z.reshape(-1, code.n)
-    signs_t = np.ascontiguousarray(code.codebook.T, dtype=float)  # (n, M)
-    signs_t *= -2.0
-    signs_t += 1.0  # +1 for a 0 bit, -1 for a 1 bit
     R, step = len(rows), max(1, _SCORE_BLOCK // code.M)
     buf = np.empty((min(step, R), code.M))
     out = np.empty(R, dtype=np.intp)
     for k in range(0, R, step):
         scores = buf[: R - k]  # the last block may be short
-        np.matmul(rows[k : k + step], signs_t, out=scores)
+        np.matmul(rows[k : k + step], code.signs_t, out=scores)
         scores.argmax(axis=-1, out=out[k : k + step])
     return out.reshape(Z.shape[:-1])
 
@@ -356,20 +358,35 @@ class SimulationResult:
         return json.dumps(obj, indent=2)
 
 
-def _simulate_chunk(cfg: PbicmSimConfig, t: int, rng: np.random.Generator):
+def _pipeline(cfg: PbicmSimConfig, t: int, rng: np.random.Generator, dither=True, zero_other_levels=False):
+    """Messages (t, L), codewords (t, L, n) and de-dithered LLRs (t, L, n) of t blocks sent through the pipeline.
+
+    Draws messages, dither, states and noise in that order; ``dither=False``
+    and ``zero_other_levels=True`` inject the faults of ``equivalence_test``.
+    """
     code, cons, base = cfg.code, cfg.cons, cfg.channel
     L, n = cons.L, code.n
     msgs = rng.integers(0, code.M, size=(t, L))
+    cw = code.codebook[msgs]
+    if zero_other_levels:
+        cw[:, 1:, :] = 0
     d = rng.integers(0, 2, size=(t, L, n)).astype(np.uint8)
+    if not dither:
+        d[:] = 0
     s = rng.integers(0, L, size=(t, n))
-    out = _send(base, cons, code.codebook[msgs], d, s, rng)
-    dec = _ml_decode_batch(code, _receive_llrs(base, cons, out, d, s))  # (t, L)
+    return msgs, cw, _receive_llrs(base, cons, _send(base, cons, cw, d, s, rng), d, s)
+
+
+def _simulate_chunk(cfg: PbicmSimConfig, t: int, rng: np.random.Generator):
+    code = cfg.code
+    msgs, _, z = _pipeline(cfg, t, rng)
+    dec = _ml_decode_batch(code, z)  # (t, L)
     lvl_err = dec != msgs
     bit_err = int_to_bits(dec ^ msgs, code.message_bits).sum(axis=(0, 2))  # per level
 
     # Direct synthesis of the randomized binary channel, same code.
     msgs_w = rng.integers(0, code.M, size=t)
-    dec_w = _ml_decode_batch(code, _direct_llrs(base, cons, code.codebook[msgs_w], rng))
+    dec_w = _ml_decode_batch(code, _direct_llrs(cfg.channel, cfg.cons, code.codebook[msgs_w], rng))
     return (
         int(lvl_err.any(axis=1).sum()),
         lvl_err.sum(axis=0).astype(np.int64),
@@ -445,35 +462,12 @@ class EquivalenceReport:
     samples_per_bit: tuple[int, int]
 
 
-def _pipeline_llr_samples(cfg: PbicmSimConfig, rng, dither: bool, zero_other_levels: bool):
-    """Level-1 de-dithered LLRs paired with the transmitted level-1 bits."""
-    code, cons, base = cfg.code, cfg.cons, cfg.channel
-    L, n, t = cons.L, code.n, cfg.trials
-    cw = code.codebook[rng.integers(0, code.M, size=(t, L))]
-    if zero_other_levels:
-        cw[:, 1:, :] = 0  # non-random code at the other levels
-    d = rng.integers(0, 2, size=(t, L, n)).astype(np.uint8)
-    if not dither:
-        d[:] = 0
-    s = rng.integers(0, L, size=(t, n))
-    z = _receive_llrs(base, cons, _send(base, cons, cw, d, s, rng), d, s)
-    return z[:, 0, :].ravel(), cw[:, 0, :].ravel()
-
-
-def _direct_llr_samples(cfg: PbicmSimConfig, rng):
-    """LLR samples of the synthesized randomized binary channel, per input bit."""
-    b = rng.integers(0, 2, size=(cfg.trials, cfg.code.n)).astype(np.uint8)
-    return _direct_llrs(cfg.channel, cfg.cons, b, rng).ravel(), b.ravel()
-
-
 def _two_sample_discrete(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Chi-square test of two samples of discrete values on their (2, distinct values) count table."""
     from scipy import stats  # imported here: it dominates the package's import time
 
-    vals = np.unique(np.concatenate([a, b]))
-    ca = np.array([(a == v).sum() for v in vals])
-    cb = np.array([(b == v).sum() for v in vals])
-    keep = (ca + cb) > 0
-    table = np.stack([ca[keep], cb[keep]])
+    vals, idx = np.unique(np.concatenate([a, b]), return_inverse=True)
+    table = np.stack([np.bincount(part, minlength=vals.size) for part in (idx[: a.size], idx[a.size :])])
     res = stats.chi2_contingency(table)
     return float(res[0]), float(res[1])
 
@@ -492,8 +486,11 @@ def equivalence_test(
 
     if cfg.trials * cfg.code.n < 10_000:
         raise ValueError("insufficient samples (< 10^4): increase trials")
-    z_pipe, b_pipe = _pipeline_llr_samples(cfg, make_rng(cfg.seed, 900_001), dither, zero_other_levels)
-    z_dir, b_dir = _direct_llr_samples(cfg, make_rng(cfg.seed, 900_002))
+    _, cw, z = _pipeline(cfg, cfg.trials, make_rng(cfg.seed, 900_001), dither, zero_other_levels)
+    z_pipe, b_pipe = z[:, 0, :].ravel(), cw[:, 0, :].ravel()  # level 1 and the bits it sent
+    rng = make_rng(cfg.seed, 900_002)
+    b = rng.integers(0, 2, size=(cfg.trials, cfg.code.n)).astype(np.uint8)
+    z_dir, b_dir = _direct_llrs(cfg.channel, cfg.cons, b, rng).ravel(), b.ravel()
     stats_out = []
     counts = []
     for bit in (0, 1):

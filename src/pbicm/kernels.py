@@ -87,10 +87,10 @@ def llr_batch(y, h, points, n0, sets, llr_max) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gallager integrand sums over weighted output grids, one per channel state.
-# ``q = 1/(1+rho)``; the binary form computes sum_k w_k * (0.5 e^{q ld0_k} +
-# 0.5 e^{q ld1_k})^{1/q}, the m-ary form averages rows of a log-density
-# matrix.  Leading axes are states: each returns one value per state.
+# Gallager integrand sums over weighted output grids, one per channel state:
+# sum_k w_k * (mean_x e^{q logd[x, k]})^{1/q} with q = 1/(1+rho) over the
+# rows x of an equiprobable input.  A binary sub-channel is the two-row case.
+# Leading axes are states: each returns one value per state.
 # ---------------------------------------------------------------------------
 
 
@@ -100,10 +100,8 @@ def row_dot(a, b):
 
 
 def e0_binary_integral(ld0, ld1, w, rho):
-    """Gallager integrand sums (equal to 2**-E0) of binary channel snapshots (..., K)."""
-    q = 1.0 / (1.0 + rho)
-    t = 0.5 * np.exp(q * ld0) + 0.5 * np.exp(q * ld1)
-    return row_dot(w, t ** (1.0 / q))
+    """Two-row ``e0_mary_integral``; no library code calls it, ``perfbench/tracing.py`` wraps it."""
+    return e0_mary_integral(np.stack([ld0, ld1]), w, rho)
 
 
 def e0_mary_integral(logd, w, rho):

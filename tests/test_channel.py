@@ -114,6 +114,21 @@ def test_sample_dmc_identity_channel():
         sample(ch, 7, rng)
 
 
+@pytest.mark.parametrize(
+    "ch, x",
+    [(Dmc(np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4]])), 1), (Awgn(0.3), 1 - 1j), (RayleighCsi(0.3), 0.5j)],
+    ids=["dmc", "awgn", "rayleigh"],
+)
+def test_sample_is_sample_batch_of_one_input(ch, x):
+    for k in range(20):
+        one = sample(ch, x, make_rng(9, k))
+        batch = sample_batch(ch, np.array([x]), make_rng(9, k))
+        if isinstance(ch, RayleighCsi):
+            assert one == (batch[0][0], batch[1][0]) and all(type(v) is complex for v in one)
+        else:
+            assert one == batch[0] and type(one) is type(x)
+
+
 def test_sample_awgn_statistics():
     rng = make_rng(7)
     y = sample_batch(Awgn(1.0), np.zeros(100_000, dtype=complex), rng)

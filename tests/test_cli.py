@@ -393,3 +393,65 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-4", ""])
+def test_malformed_worker_count_exits_with_one_line(monkeypatch, workers):
+    monkeypatch.setenv("PBICM_WORKERS", workers)
+    with pytest.raises(SystemExit) as err:
+        main(["capacity", "--constellation", "BPSK", "--snr-sweep", "0:10:2"])
+    msg = err.value.code
+    assert isinstance(msg, str) and "\n" not in msg
+    assert "PBICM_WORKERS" in msg and repr(workers) in msg
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["capacity", "--snr-sweep", "0:10:0"], "--snr-sweep"),
+        (["capacity", "--snr-sweep", "0:10"], "--snr-sweep"),
+        (["capacity", "--snr-sweep", "0:10:x"], "--snr-sweep"),
+        (["capacity", "--snr-sweep", "0:10:2:1"], "--snr-sweep"),
+        (["exponents", "--snr-db", "5", "--rate-points", "0"], "--rate-points"),
+        (["exponents", "--snr-db", "5", "--rate-points", "-2"], "--rate-points"),
+    ],
+)
+def test_empty_or_malformed_sweep_exits_naming_the_flag(tmp_path, argv, flag):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(out)])
+    msg = err.value.code
+    assert isinstance(msg, str) and "\n" not in msg and flag in msg
+    assert not out.exists()  # no header-only table
+
+
+def test_global_flags_before_or_after_the_subcommand_beat_the_config(tmp_path):
+    spec = tmp_path / "sim.json"
+    spec.write_text(SIM_SPEC_WITHOUT_TRIALS[:-1] + ', "trials": 50, "seed": 1}')
+    cfg = tmp_path / "cfg.json"
+    out, cfg_out = tmp_path / "r.json", tmp_path / "from_cfg.json"
+    cfg.write_text(json.dumps({"seed": 7, "out": str(cfg_out)}))
+    sim = ["simulate", "--sim-config", str(spec)]
+    cases = [
+        (["--seed", "3", "--config", str(cfg), "--out", str(out)] + sim, out, 3),
+        (sim + ["--seed", "3", "--out", str(out), f"--config={cfg}"], out, 3),
+        (["--config", str(cfg)] + sim + ["--seed", "4", "--out", str(out)], out, 4),
+        (sim + ["--config", str(cfg)], cfg_out, 7),
+        (["--out", str(out)] + sim, out, 1),
+    ]
+    for argv, path, seed in cases:
+        assert main(argv) == 0
+        assert json.loads(path.read_text())["seed"] == seed, argv
+        path.unlink()
+
+
+@pytest.mark.parametrize(
+    "command", [[], ["capacity"], ["exponents"], ["dispersion"], ["ratebounds"], ["simulate"], ["verify"],
+                ["constellation"]]
+)
+def test_help_lists_the_global_flags(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--help"])
+    assert err.value.code == 0
+    text = capsys.readouterr().out
+    assert all(f in text for f in ("--seed SEED", "--out OUT", "--config CONFIG"))

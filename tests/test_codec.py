@@ -11,6 +11,7 @@ from pbicm.codec import (
     PbicmSimConfig,
     _SCORE_BLOCK,
     _ml_decode_batch,
+    _two_sample_discrete,
     PbicmState,
     apply_dither,
     deinterleave,
@@ -211,6 +212,17 @@ def test_ml_decode_batch_matches_per_row(code, shape, zero_rows):
 def test_ml_decode_batch_rejects_wrong_blocklength():
     with pytest.raises(ValueError, match="length 14, but the code blocklength is 7"):
         _ml_decode_batch(hamming74(), np.zeros((2, 14)))
+
+
+def test_ml_decode_batch_builds_one_read_only_sign_matrix_per_code():
+    code = random_codebook(16, 64, 2)
+    Z = make_rng(4).normal(size=(30, 16))
+    first = _ml_decode_batch(code, Z)
+    signs = code.signs_t
+    assert signs.shape == (16, 64) and not signs.flags.writeable
+    np.testing.assert_array_equal(signs, 1.0 - 2.0 * code.codebook.T)
+    np.testing.assert_array_equal(_ml_decode_batch(code, Z[::-1]), first[::-1])
+    assert code.signs_t is signs  # the second decode reused it
 
 
 def test_ml_decode_batch_memory_bounded():
@@ -545,3 +557,13 @@ def test_equivalence_detects_frozen_levels_without_dither():
     assert (
         equivalence_test(cfg, dither=False, zero_other_levels=True).p_value < 1e-3
     )
+
+
+def test_two_sample_discrete_is_chi2_contingency_of_the_count_table():
+    from scipy.stats import chi2_contingency
+
+    # values -1.5, 0.25, 3 and 7 counted (5, 9, 2, 0) times in a and (7, 4, 6, 3) in b
+    a = make_rng(8).permutation(np.repeat([3.0, -1.5, 0.25], [2, 5, 9]))
+    b = np.repeat([0.25, 7.0, -1.5, 3.0], [4, 3, 7, 6])
+    res = chi2_contingency(np.array([[5, 9, 2, 0], [7, 4, 6, 3]]))
+    assert _two_sample_discrete(a, b) == (res[0], res[1])

@@ -58,6 +58,20 @@ def test_e0_integral_handles_minus_infinity():
     assert v == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0, 10.0])
+def test_binary_integral_is_the_two_row_mary_sum_bit_for_bit(rho):
+    # 0.5 a + 0.5 b and (a + b) / 2 round alike, so a sub-channel summed as a
+    # two-row channel gives the bits of the binary formula
+    rng = make_rng(6)
+    ld = rng.normal(scale=3.0, size=(2, 5, 300))
+    ld[0, 1, 7] = ld[1, 3, 9] = -np.inf
+    w = rng.random((5, 300))
+    q = 1.0 / (1.0 + rho)
+    want = kernels.row_dot(w, (0.5 * np.exp(q * ld[0]) + 0.5 * np.exp(q * ld[1])) ** (1.0 / q))
+    np.testing.assert_array_equal(kernels.e0_mary_integral(ld, w, rho), want)
+    np.testing.assert_array_equal(kernels.e0_binary_integral(ld[0], ld[1], w, rho), want)
+
+
 def test_warmup_runs():
     kernels.warmup()
 
