@@ -37,8 +37,9 @@ class Snr:
 class Dmc:
     """Discrete memoryless channel; inputs are row indices of ``matrix``.
 
-    A value: ``matrix`` is a read-only copy of the argument, and equality
-    and hash follow its class, shape and bytes.
+    A value: ``matrix`` is a read-only copy of the argument (an unpickled
+    Dmc is rebuilt through the constructor), and equality and hash follow
+    its class, shape and bytes.
     """
 
     matrix: np.ndarray
@@ -51,6 +52,9 @@ class Dmc:
             raise ValueError("Dmc matrix must be row-stochastic")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    def __reduce__(self):
+        return type(self), (self.matrix,)
 
     def _key(self) -> tuple:
         return type(self), self.matrix.shape, self.matrix.tobytes()

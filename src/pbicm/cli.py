@@ -2,7 +2,8 @@
 
 Subcommands: capacity, exponents, dispersion, ratebounds, simulate, verify,
 constellation.  A JSON --config file may supply defaults for any long option
-(keys use either dashes or underscores); explicit command-line flags win.
+(keys use either dashes or underscores; each value is checked as if typed
+after its flag); explicit command-line flags win.
 CSV floats carry 9 significant digits and sweep rows are emitted in sorted
 order, so reruns with the same inputs are byte-identical.  PBICM_WORKERS,
 a positive integer, sets the process count used for sweep points.
@@ -24,8 +25,9 @@ from .channel import Awgn, Dmc, awgn_from_snr, load_dmc, rayleigh_from_snr
 from .constellation import KINDS, make_constellation
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.9g}"
+def _fmt(v) -> str:
+    """One CSV cell: an int as written, a float to 9 significant digits, None as nan."""
+    return str(v) if isinstance(v, int) else f"{math.nan if v is None else float(v):.9g}"
 
 
 def _nworkers() -> int:
@@ -50,18 +52,33 @@ def _write(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _make_channel(kind: str, snr_db, dmc_file):
-    if kind == "dmc":
-        if not dmc_file:
+def _write_table(out: str | None, head: list[str], rows) -> None:
+    lines = [",".join(head)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _write(out, "\n".join(lines) + "\n")
+
+
+def _parse_list(flag: str, raw: str, kind) -> list:
+    """The entries of the comma-separated list ``raw`` given to ``flag``, sorted."""
+    try:
+        return sorted(kind(v) for v in raw.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated list of {kind.__name__}s, got {raw!r}") from None
+
+
+def _make_channel(args, snr_db: float | None):
+    """The channel ``args`` name, at ``snr_db`` (None when no SNR was given) unless it is a Dmc."""
+    if args.channel == "dmc":
+        if not args.dmc_file:
             raise SystemExit("dmc channel requires --dmc-file")
-        return load_dmc(dmc_file)
-    if snr_db is None or math.isnan(snr_db):
-        raise SystemExit("continuous channels require --snr-db (or --snr-sweep)")
-    return awgn_from_snr(float(snr_db)) if kind == "awgn" else rayleigh_from_snr(float(snr_db))
+        return load_dmc(args.dmc_file)
+    if snr_db is None:
+        flags = "--snr-db (or --snr-sweep)" if "snr_sweep" in vars(args) else "--snr-db"
+        raise SystemExit(f"continuous channels require {flags}")
+    return awgn_from_snr(snr_db) if args.channel == "awgn" else rayleigh_from_snr(snr_db)
 
 
-def _snr_points(args) -> list[float]:
-    if getattr(args, "snr_sweep", None):
+def _snr_points(args) -> list[float | None]:
+    if args.snr_sweep:
         try:
             lo, hi, num = args.snr_sweep.split(":")
             lo, hi, num = float(lo), float(hi), int(num)
@@ -69,91 +86,61 @@ def _snr_points(args) -> list[float]:
             num = 0
         if num < 1:
             raise ValueError(f"--snr-sweep must be LO:HI:NUM with NUM >= 1, got {args.snr_sweep!r}")
-        return [float(v) for v in np.linspace(lo, hi, num)]
-    return [math.nan if args.snr_db is None else float(args.snr_db)]
+        return sorted(float(v) for v in np.linspace(lo, hi, num))
+    return [args.snr_db]
 
 
 # ---------------------------------------------------------------------------
-# capacity
+# capacity / exponents / dispersion / ratebounds
 # ---------------------------------------------------------------------------
 
 
-def _capacity_point(item):
-    cons_name, ch_kind, dmc_file, snr_db = item
-    cons = make_constellation(cons_name)
-    base = _make_channel(ch_kind, snr_db, dmc_file)
+def _capacity_row(point) -> list:
+    snr_db, base, cons = point
     c_cm = infotheory.capacity_cm(base, cons)
     subs = [infotheory.capacity_subchannel(base, cons, s) for s in range(1, cons.L + 1)]
-    return (snr_db, c_cm, sum(subs), subs)
+    return [snr_db, c_cm, sum(subs), *subs]
 
 
 def cmd_capacity(args) -> int:
     cons = make_constellation(args.constellation)
-    pts = [math.nan] if args.channel == "dmc" else sorted(_snr_points(args))
-    rows = _map_points(
-        _capacity_point, [(args.constellation, args.channel, args.dmc_file, p) for p in pts]
-    )
-    head = ["snr_db", "c_cm_bits", "c_pbicm_bits"]
-    head += [f"c_sub_{s}_bits" for s in range(1, cons.L + 1)]
-    lines = [",".join(head)]
-    for snr_db, c_cm, c_pb, subs in rows:
-        lines.append(",".join([_fmt(snr_db), _fmt(c_cm), _fmt(c_pb)] + [_fmt(v) for v in subs]))
-    _write(args.out, "\n".join(lines) + "\n")
+    snrs = [None] if args.channel == "dmc" else _snr_points(args)
+    rows = _map_points(_capacity_row, [(snr, _make_channel(args, snr), cons) for snr in snrs])
+    subs = [f"c_sub_{s}_bits" for s in range(1, cons.L + 1)]
+    _write_table(args.out, ["snr_db", "c_cm_bits", "c_pbicm_bits", *subs], rows)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# exponents
-# ---------------------------------------------------------------------------
-
-
-def _exponent_point(item):
-    cons_name, ch_kind, dmc_file, snr_db, rate = item
-    cons = make_constellation(cons_name)
-    base = _make_channel(ch_kind, snr_db, dmc_file)
+def _exponent_row(point) -> list:
+    base, cons, rate = point
     ev_u = infotheory.e0_evaluator(base, cons, "Unconstrained")
     ev_w = infotheory.e0_evaluator(base, cons, "WachsmannAveraged")
     unc = infotheory.random_coding_exponent(ev_u, rate)
     pb = infotheory.pbicm_exponent(base, cons, rate)
-    pbn = infotheory.pbicm_exponent(base, cons, rate, normalized=True)
     averaged = infotheory.random_coding_exponent(ev_w, rate / cons.L)
-    return (rate, unc, pb, pbn, averaged)
+    # pbicm_normalized is pbicm_exponent(..., normalized=True): L times the value of the one search
+    return [rate, unc, pb, cons.L * pb, averaged]
 
 
 def _rate_grid(args, base, cons) -> list[float]:
     if args.rates:
-        return sorted(float(v) for v in args.rates.split(","))
+        return _parse_list("--rates", args.rates, float)
     if args.rate_points < 1:
         raise ValueError(f"--rate-points must be >= 1, got {args.rate_points}")
-    hi = args.rate_max
-    if hi is None:
-        hi = infotheory.capacity_pbicm(base, cons)
-    return [float(v) for v in np.linspace(args.rate_min, hi, args.rate_points)]
+    hi = infotheory.capacity_pbicm(base, cons) if args.rate_max is None else args.rate_max
+    return sorted(float(v) for v in np.linspace(args.rate_min, hi, args.rate_points))
 
 
 def cmd_exponents(args) -> int:
     cons = make_constellation(args.constellation)
-    base = _make_channel(args.channel, args.snr_db, args.dmc_file)
-    rates = _rate_grid(args, base, cons)
-    snr = math.nan if args.snr_db is None else args.snr_db
-    rows = _map_points(
-        _exponent_point,
-        [(args.constellation, args.channel, args.dmc_file, snr, r) for r in rates],
-    )
-    lines = ["rate_bits,unconstrained,pbicm,pbicm_normalized,wachsmann_flawed"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write(args.out, "\n".join(lines) + "\n")
+    base = _make_channel(args, args.snr_db)
+    rows = _map_points(_exponent_row, [(base, cons, r) for r in _rate_grid(args, base, cons)])
+    _write_table(args.out, ["rate_bits", "unconstrained", "pbicm", "pbicm_normalized", "wachsmann_flawed"], rows)
     return 0
 
 
-# ---------------------------------------------------------------------------
-# dispersion / ratebounds
-# ---------------------------------------------------------------------------
-
-
 def cmd_dispersion(args) -> int:
-    base = _make_channel(args.channel, args.snr_db, args.dmc_file)
+    base = _make_channel(args, args.snr_db)
     rep = infotheory.dispersion_report(base, make_constellation(args.constellation))
     _write(args.out, rep.to_json() + "\n")
     return 0
@@ -161,15 +148,11 @@ def cmd_dispersion(args) -> int:
 
 def cmd_ratebounds(args) -> int:
     cons = make_constellation(args.constellation)
-    base = _make_channel(args.channel, args.snr_db, args.dmc_file)
-    ns = sorted(int(v) for v in str(args.blocklengths).split(","))
-    pes = sorted(float(v) for v in str(args.pe).split(","))
-    lines = ["n,pe,lower_bits,upper_bits"]
-    for n in ns:
-        for pe in pes:
-            lo, hi = infotheory.rate_bounds(base, cons, n, pe)
-            lines.append(f"{n},{_fmt(pe)},{_fmt(lo)},{_fmt(hi)}")
-    _write(args.out, "\n".join(lines) + "\n")
+    base = _make_channel(args, args.snr_db)
+    ns = _parse_list("--blocklengths", args.blocklengths, int)
+    pes = _parse_list("--pe", args.pe, float)
+    rows = [[n, pe, *infotheory.rate_bounds(base, cons, n, pe)] for n in ns for pe in pes]
+    _write_table(args.out, ["n", "pe", "lower_bits", "upper_bits"], rows)
     return 0
 
 
@@ -331,7 +314,7 @@ def _add_channel_opts(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The pbicm parser; ``defaults`` (dest -> value, e.g. from a --config file) replace subcommand flag defaults."""
+    """The pbicm parser; ``defaults`` (dest -> JSON value, from a --config file) replace subcommand flag defaults."""
     common = _global_flags()
     ap = argparse.ArgumentParser(prog="pbicm", description=__doc__, parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -372,7 +355,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_constellation)
 
     for p in sub.choices.values():
-        p.set_defaults(**(defaults or {}))
+        p.set_defaults(**_config_defaults(p, defaults or {}))
     return ap
 
 
@@ -389,18 +372,37 @@ def _config_values(path: str | None) -> dict:
     return {k.replace("-", "_"): v for k, v in vals.items()}
 
 
+def _config_defaults(p: argparse.ArgumentParser, values: dict) -> dict:
+    """The ``values`` (dest -> JSON value) that belong to flags of ``p``, each
+    converted and checked as if typed after its flag on the command line."""
+    out = {}
+    for a in p._actions:
+        if a.dest not in values:
+            continue
+        v = values[a.dest]
+        try:
+            if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+                raise ValueError
+            out[a.dest] = a.type(str(v)) if a.type else str(v)
+            if a.choices is not None and out[a.dest] not in a.choices:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"--config: invalid {a.option_strings[-1]} value {json.dumps(v)}") from None
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        glob = _global_flags()
         try:
-            given, _ = _global_flags().parse_known_args(argv)
+            given, _ = glob.parse_known_args(argv)
         except argparse.ArgumentError:
             given = argparse.Namespace()  # a malformed global flag: the full parse below reports it
-        defaults = _config_values(getattr(given, "config", None))
-        defaults.pop("config", None)
+        values = _config_values(getattr(given, "config", None))
         # a global flag that is not given takes the config's value, else None
-        start = argparse.Namespace(seed=defaults.pop("seed", None), out=defaults.pop("out", None), config=None)
-        args = build_parser(defaults).parse_args(argv, start)
+        start = argparse.Namespace(**{"seed": None, "out": None, "config": None, **_config_defaults(glob, values)})
+        args = build_parser({k: v for k, v in values.items() if k not in vars(start)}).parse_args(argv, start)
         return args.fn(args)
     except OSError as exc:
         # an input file that cannot be read or an output that cannot be written

@@ -43,12 +43,15 @@ class Axis:
 
     bits: tuple[int, ...]
     dims: tuple[int, ...]
-    points: np.ndarray  # (2**len(bits), len(dims)) real, a read-only copy
+    points: np.ndarray  # (2**len(bits), len(dims)) real, a read-only copy (also unpickled)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
+
+    def __reduce__(self):
+        return type(self), (self.bits, self.dims, self.points)
 
     @property
     def L(self) -> int:
@@ -82,9 +85,9 @@ def _pam_points(m: int) -> np.ndarray:
 class Constellation:
     """Complex constellation with a Gray bit labeling.
 
-    A value: the arrays are read-only copies of the arguments, and equality
-    and hash follow the class, name, L and the bytes of ``points`` and
-    ``labels``.
+    A value: the arrays are read-only copies of the arguments (an unpickled
+    constellation is rebuilt through the constructor), and equality and hash
+    follow the class, name, L and the bytes of ``points`` and ``labels``.
 
     Its independent axes (``axes``, see the module docstring) are derived
     from ``points`` and ``labels``, not from the name: when the real and
@@ -128,6 +131,9 @@ class Constellation:
             a.setflags(write=False)
             object.__setattr__(self, attr, a)
         object.__setattr__(self, "axes", _independent_axes(self.L, self.symbols))
+
+    def __reduce__(self):
+        return type(self), (self.name, self.L, self.points, self.labels)
 
     def _key(self) -> tuple:
         return type(self), self.name, self.L, self.points.tobytes(), self.labels.tobytes()

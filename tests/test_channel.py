@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -236,3 +238,10 @@ def test_dmc_is_a_value():
     assert ch.matrix[0, 0] != m[0, 0]
     with pytest.raises(ValueError):
         ch.matrix[0, 0] = 0.5
+
+
+def test_dmc_stays_a_value_across_pickling():
+    ch = Dmc(random_stochastic(np.random.default_rng(6), 4, 5))
+    back = pickle.loads(pickle.dumps(ch))
+    assert back == ch and hash(back) == hash(ch)
+    assert not back.matrix.flags.writeable

@@ -414,6 +414,10 @@ def test_malformed_worker_count_exits_with_one_line(monkeypatch, workers):
         (["capacity", "--snr-sweep", "0:10:2:1"], "--snr-sweep"),
         (["exponents", "--snr-db", "5", "--rate-points", "0"], "--rate-points"),
         (["exponents", "--snr-db", "5", "--rate-points", "-2"], "--rate-points"),
+        (["ratebounds", "--snr-db", "5", "--blocklengths", "100,abc"], "--blocklengths"),
+        (["ratebounds", "--snr-db", "5", "--blocklengths", "100,1e3"], "--blocklengths"),
+        (["ratebounds", "--snr-db", "5", "--pe", "1e-3,x"], "--pe"),
+        (["exponents", "--snr-db", "5", "--rates", "0.1,,0.3"], "--rates"),
     ],
 )
 def test_empty_or_malformed_sweep_exits_naming_the_flag(tmp_path, argv, flag):
@@ -455,3 +459,77 @@ def test_help_lists_the_global_flags(capsys, command):
     assert err.value.code == 0
     text = capsys.readouterr().out
     assert all(f in text for f in ("--seed SEED", "--out OUT", "--config CONFIG"))
+
+
+@pytest.mark.parametrize(
+    "command, config, flag",
+    [
+        (["capacity"], {"snr-db": [5]}, "--snr-db"),
+        (["capacity"], {"snr-db": True}, "--snr-db"),
+        (["exponents", "--snr-db", "5"], {"rate-points": 2.5}, "--rate-points"),
+        (["capacity", "--snr-db", "5"], {"constellation": "QAM8"}, "--constellation"),
+    ],
+    ids=["list", "bool", "float_for_int", "unknown_choice"],
+)
+def test_config_values_are_checked_like_typed_flags(tmp_path, command, config, flag):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--config", str(cfg), "--out", str(out)])
+    msg = err.value.code
+    assert isinstance(msg, str) and "\n" not in msg and flag in msg
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, column, value",
+    [
+        (["capacity"], {"snr-db": "5"}, 0, "5"),
+        (["ratebounds", "--snr-db", "5"], {"blocklengths": 1000, "pe": 0.001}, 0, "1000"),
+    ],
+)
+def test_config_values_that_typed_flags_take_keep_working(tmp_path, command, config, column, value):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps(config))
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = run_csv(out)
+    assert [r[column] for r in rows] == [value]
+
+
+def test_rate_grid_given_high_to_low_is_sorted(tmp_path):
+    out = tmp_path / "exp.csv"
+    argv = ["exponents", "--snr-db", "5", "--rate-min", "1", "--rate-max", "0.2", "--rate-points", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    _, rows = run_csv(out)
+    assert [float(r[0]) for r in rows] == [0.2, 0.6, 1.0]
+
+
+@pytest.mark.parametrize("argv", [["--snr-db", "nan"], ["--snr-sweep", "nan:1:2"]])
+def test_nan_snr_is_reported_as_nan_not_as_missing(argv):
+    with pytest.raises(SystemExit) as err:
+        main(["capacity"] + argv)
+    msg = err.value.code
+    assert isinstance(msg, str) and "\n" not in msg
+    assert "nan" in msg and "require" not in msg
+
+
+@pytest.mark.parametrize("command", ["capacity", "exponents", "dispersion", "ratebounds"])
+def test_missing_snr_message_names_only_flags_the_command_has(command):
+    with pytest.raises(SystemExit) as err:
+        main([command, "--channel", "rayleigh"])
+    msg = err.value.code
+    assert msg.startswith("continuous channels require --snr-db")
+    assert ("--snr-sweep" in msg) == (command == "capacity")
+
+
+def test_exponents_dmc_workers_agree(tmp_path, monkeypatch):
+    f = tmp_path / "chan.csv"
+    save_dmc(Dmc(np.random.default_rng(3).dirichlet(np.ones(5), size=4)), f)
+    argv = ["exponents", "--constellation", "QPSK", "--channel", "dmc", "--dmc-file", str(f), "--rate-points", "4"]
+    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    monkeypatch.setenv("PBICM_WORKERS", "1")
+    assert main(argv + ["--out", str(one)]) == 0
+    monkeypatch.setenv("PBICM_WORKERS", "2")
+    assert main(argv + ["--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+    assert len(run_csv(one)[1]) == 4

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -131,3 +132,15 @@ def test_constellation_is_a_value():
     for a in (qpsk.points, qpsk.labels, qpsk.symbols):
         with pytest.raises(ValueError):
             a[0] = a[1]
+
+
+@pytest.mark.parametrize("kind", ["QAM16", "PSK8"])
+def test_constellation_stays_a_value_across_pickling(kind):
+    cons = make_constellation(kind)
+    back = pickle.loads(pickle.dumps(cons))
+    assert back == cons and hash(back) == hash(cons)
+    arrays = [back.points, back.labels, back.symbols] + [a.points for a in back.axes]
+    axis = pickle.loads(pickle.dumps(cons.axes[0]))
+    assert (axis.bits, axis.dims) == (cons.axes[0].bits, cons.axes[0].dims)
+    np.testing.assert_array_equal(axis.points, cons.axes[0].points)
+    assert not any(a.flags.writeable for a in arrays + [axis.points])
