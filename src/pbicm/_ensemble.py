@@ -268,8 +268,13 @@ def _moment_pass(base: ChannelModel, cons: Constellation, gh: int, gl: int):
             for j in range(ma):
                 log_rows, log_sub, log_pbar, wk = _symbol_block(base, cons, axis, scale[st], j, gh)
                 sent = np.concatenate([log_sub[arange, lab_bits[j]], log_rows[j][None]])  # (La+1, F', K)
-                i = np.moveaxis((sent - log_pbar) / LN2, 1, 0)
-                mom[st, j, 0], mom[st, j, 1] = i @ wk, (i * i) @ wk
+                # in place: a fresh block-sized temporary per label costs more than the arithmetic
+                sent -= log_pbar
+                sent /= LN2
+                i = np.moveaxis(sent, 1, 0)
+                mom[st, j, 0] = i @ wk
+                i *= i
+                mom[st, j, 1] = i @ wk
         # states outer, labels inner: the order a loop over states and labels adds the terms in
         tot = _state_sum((w[:, None, None, None] * mom / ma).reshape(-1, 2, La + 1))
         m1[list(axis.bits)], m2[list(axis.bits)] = tot[:, :La]

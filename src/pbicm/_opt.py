@@ -120,7 +120,10 @@ def exponent_max(e0_fn, rate: float, sphere: bool) -> float:
     [1, RHO_MAX]; either way it is never below the random-coding value.
     The error is at most |E0''| * DELTA**2 / 2 at a boundary maximum and
     about |E0''| * XTOL**2, or FTOL * max(1, |f|), at an interior one.
+    A rate that is not finite and nonnegative raises ``ValueError``.
     """
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
     obj = functools.cache(lambda rho: e0_fn(rho) - rho * rate)
     if sphere and obj(RHO_MAX) >= obj(RHO_MAX - DELTA):
         return math.inf

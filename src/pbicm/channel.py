@@ -189,6 +189,9 @@ def load_dmc(path: str | Path) -> Dmc:
     path = Path(path)
     if path.suffix == ".json":
         obj = json.loads(path.read_text())
+        for key in ("nx", "ny", "matrix"):
+            if not isinstance(obj, dict) or key not in obj:
+                raise ValueError(f"{path}: missing key {key!r}")
         nx, ny, values = int(obj["nx"]), int(obj["ny"]), obj["matrix"]
         nested = all(isinstance(r, list) for r in values)
         fits = [len(r) for r in values] == [ny] * nx if nested else len(values) == nx * ny

@@ -66,8 +66,14 @@ def _parse_list(flag: str, raw: str, kind) -> list:
 
 
 def _make_channel(args, snr_db: float | None):
-    """The channel ``args`` name, at ``snr_db`` (None when no SNR was given) unless it is a Dmc."""
+    """The channel ``args`` name, at ``snr_db`` (None when no SNR was given) unless it is a Dmc.
+
+    A Dmc has no SNR: an --snr-db or --snr-sweep given with it is an error.
+    """
     if args.channel == "dmc":
+        for flag in ("snr_db", "snr_sweep"):
+            if vars(args).get(flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} does not apply to the dmc channel")
         if not args.dmc_file:
             raise SystemExit("dmc channel requires --dmc-file")
         return load_dmc(args.dmc_file)

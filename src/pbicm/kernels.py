@@ -32,8 +32,11 @@ def log_mean(a: np.ndarray, axis: int) -> np.ndarray:
     peak[peak == -np.inf] = 0.0  # an all -inf line would shift to -inf - -inf = NaN
     t = a - peak
     np.exp(t, out=t)  # in place: a second temporary of the input's size costs more than the exp
+    m = t.mean(axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
-        return np.squeeze(peak, axis) + np.log(t.mean(axis=axis))
+        np.log(m, out=m)  # in place, as is the shift back: along a short axis m is nearly as large as the input
+    m += peak
+    return np.squeeze(m, axis)
 
 
 def log_densities(y, h, points, n0) -> np.ndarray:

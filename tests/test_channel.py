@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import numpy as np
@@ -197,6 +198,15 @@ def test_dmc_file_round_trip(tmp_path):
         load_dmc(tmp_path / "ch.txt")
     with pytest.raises(ValueError):
         save_dmc(ch, tmp_path / "ch.txt")
+
+
+@pytest.mark.parametrize("key", ["nx", "ny", "matrix"])
+def test_dmc_json_without_a_key_names_the_file_and_the_key(tmp_path, key):
+    f = tmp_path / "ch.json"
+    f.write_text(json.dumps({k: v for k, v in {"nx": 2, "ny": 2, "matrix": [0.9, 0.1, 0.1, 0.9]}.items() if k != key}))
+    with pytest.raises(ValueError, match=f"missing key '{key}'") as err:
+        load_dmc(f)
+    assert str(f) in str(err.value)
 
 
 def test_load_dmc_csv_rejects_rows_beyond_header(tmp_path):

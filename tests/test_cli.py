@@ -533,3 +533,49 @@ def test_exponents_dmc_workers_agree(tmp_path, monkeypatch):
     assert main(argv + ["--out", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
     assert len(run_csv(one)[1]) == 4
+
+
+@pytest.mark.parametrize("rates", ["nan,0.2", "0.2,inf", "-0.1"])
+def test_exponents_rate_that_is_not_finite_and_nonnegative_exits_with_one_line(tmp_path, rates):
+    out = tmp_path / "exp.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["exponents", "--snr-db", "5", "--rates", rates, "--out", str(out)])
+    msg = err.value.code
+    assert isinstance(msg, str) and "\n" not in msg and "finite and nonnegative" in msg
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["capacity", "--snr-sweep", "0:10:0"], "--snr-sweep"),
+        (["capacity", "--snr-sweep", "0:10:3"], "--snr-sweep"),
+        (["capacity", "--snr-db", "3"], "--snr-db"),
+        (["exponents", "--snr-db", "3"], "--snr-db"),
+        (["dispersion", "--snr-db", "3"], "--snr-db"),
+        (["ratebounds", "--snr-db", "3"], "--snr-db"),
+    ],
+)
+def test_snr_given_for_a_dmc_exits_naming_the_flag(tmp_path, argv, flag):
+    f = tmp_path / "bsc.json"
+    save_dmc(bsc(0.1), f)
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--constellation", "BPSK", "--channel", "dmc", "--dmc-file", str(f), "--out", str(out)])
+    msg = err.value.code
+    assert isinstance(msg, str) and "\n" not in msg and flag in msg and "dmc" in msg
+    assert not out.exists()
+
+
+def test_dmc_file_without_a_key_exits_with_one_line(tmp_path):
+    f = tmp_path / "bsc.json"
+    f.write_text('{"W": [[0.9, 0.1], [0.1, 0.9]]}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbicm.cli", "capacity", "--constellation", "BPSK", "--channel", "dmc",
+         "--dmc-file", str(f)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [f"{f}: missing key 'nx'"]

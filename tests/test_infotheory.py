@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +340,23 @@ def test_pbicm_exponent_rates_and_normalization():
     assert pbicm_exponent(ch, QPSK, capacity_pbicm(ch, QPSK) + 0.05) == 0.0
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -0.1])
+def test_exponents_reject_a_rate_that_is_not_finite_and_nonnegative(rate):
+    ch = bsc(0.1)
+    ev = e0_evaluator(ch, BPSK, "WbarCombined")  # L = 1: pbicm_exponent searches at the rate given
+    calls = [
+        lambda: random_coding_exponent(ev, rate),
+        lambda: sphere_packing_exponent(ev, rate),
+        lambda: pbicm_exponent(ch, BPSK, rate),
+        lambda: pbicm_exponent(ch, BPSK, rate, bound="SpherePacking"),
+        lambda: dmc.random_coding_exponent(ch.matrix, rate),
+        lambda: dmc.sphere_packing_exponent(ch.matrix, rate),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {rate}$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # dispersion and rate bounds
 # ---------------------------------------------------------------------------
@@ -460,6 +481,29 @@ def test_qinv_monotone():
     eps = np.logspace(-12, -1, 23)
     vals = np.array([qinv(float(e)) for e in eps])
     assert np.all(np.diff(vals) < 0)
+
+
+def test_qfunc_qinv_match_scipy_over_the_whole_range():
+    from scipy.special import ndtr, ndtri
+
+    eps = np.logspace(-300, 0, 4001)[:-1]  # 4000 log-spaced targets in [1e-300, 1)
+    x = np.array([qinv(float(e)) for e in eps])
+    want = -ndtri(eps)
+    assert np.max(np.abs(x - want) / np.abs(want)) <= 4e-15
+    q = np.array([qfunc(float(v)) for v in x])
+    assert np.max(np.abs(q - eps) / eps) <= 1e-12  # the round trip documented in qinv
+    tail = x <= 37.0
+    assert np.max(np.abs(q[tail] - ndtr(-x[tail])) / ndtr(-x[tail])) <= 1e-12
+
+
+@pytest.mark.parametrize("module", ["pbicm", "pbicm.cli"])
+def test_import_loads_no_scipy(module):
+    src = str(Path(infotheory.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
