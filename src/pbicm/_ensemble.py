@@ -32,12 +32,15 @@ information density is the sum of the axes' (E[i] adds, and E[i^2] =
 sum_a E[i_a^2] + 2 sum_{a<b} E[i_a] E[i_b]), and its 2**-E0 is the product
 of the axes' Gallager integrals.
 
-Moments are reduced block by block (``moment_table``, gated by node
-doubling; a Dmc is exact).  E0 needs whole-grid sums for many rho values, so
-it works on stored "snapshots" (``get_ensemble``): per axis and channel
-state, the blocks' log-density rows per label, sub-channel log densities,
-integration weights and a probability weight; an ensemble also keeps its
-per-rho E0 integrals.  Channels and constellations are values, so
+One walk over an axis's label blocks (``_label_blocks``: runs of channel
+states, the labels inside each run) feeds both reductions.  Moments are
+reduced block by block (``moment_table``: one gate loop that starts at
+``GH_NODES``/``GL_NODES`` and doubles both counts; a Dmc is exact).  E0
+needs whole-grid sums for many rho values, so it works on stored
+"snapshots" (``get_ensemble``, at ``GH_NODES``/``GL_NODES``): per axis and
+channel state, the blocks' log-density rows per label, sub-channel log
+densities, integration weights and a probability weight; an ensemble also
+keeps its per-rho E0 integrals.  Channels and constellations are values, so
 ``functools.lru_cache`` keys the ensembles (here) and the gated moments
 (``infotheory._moments``) by the pair itself, 8 pairs each.
 """
@@ -78,15 +81,6 @@ class Snapshot:
     log_mary: np.ndarray  # (ma, F, K) log axis densities by axis label
 
 
-def _state_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis one term at a time, in order, as a loop over states adds them.
-
-    So a single-axis pair (PSK8, a Dmc) gives the same bits as when its
-    states were looped one at a time.
-    """
-    return np.cumsum(terms, axis=0)[-1]
-
-
 @dataclass
 class Ensemble:
     cons: Constellation
@@ -105,7 +99,7 @@ class Ensemble:
             v = np.zeros(self.L)
             for snap in self.snapshots:  # one two-row Gallager sum serves all the axis's bits
                 g = kernels.e0_mary_integral(snap.log_sub.swapaxes(0, 1), snap.int_w, rho)  # (La, F)
-                v[list(snap.bits)] = _state_sum((snap.weight * g).T)
+                v[list(snap.bits)] = g @ snap.weight
             self.sub_e0[rho] = v
         return v
 
@@ -116,7 +110,7 @@ class Ensemble:
             g = 1.0  # the axes are independent given the state: their integrals multiply
             for snap in self.snapshots:
                 g = g * kernels.e0_mary_integral(snap.log_mary, snap.int_w, rho)
-            v = float(_state_sum(self.snapshots[0].weight * g))
+            v = float(g @ self.snapshots[0].weight)
             self.mary_e0[rho] = v
         return v
 
@@ -159,12 +153,6 @@ def _block_sizes(base: ChannelModel, cons: Constellation, axis: Axis, gh: int) -
     return np.full(len(axis.points), gh ** len(axis.dims))
 
 
-def _state_blocks(n_states: int, per_state: int) -> list[slice]:
-    """Runs of channel states whose label blocks hold about ``kernels.BLOCK_ENTRIES`` entries (at least one state)."""
-    step = max(1, kernels.BLOCK_ENTRIES // per_state)
-    return [slice(a, a + step) for a in range(0, n_states, step)]
-
-
 def _symbol_block(base: ChannelModel, cons: Constellation, axis: Axis, scale: np.ndarray, j: int, gh: int):
     """Axis label j's block in the channel states ``scale`` (F,): the outputs it can produce, with log densities there.
 
@@ -191,6 +179,17 @@ def _symbol_block(base: ChannelModel, cons: Constellation, axis: Axis, scale: np
     return log_rows, log_sub, kernels.log_mean(log_rows, 0), wk
 
 
+def _label_blocks(base: ChannelModel, cons: Constellation, axis: Axis, scale: np.ndarray, gh: int) -> Iterator:
+    """Yield ``(st, j, *_symbol_block(...))``: runs ``st`` of channel states whose label blocks hold about
+    ``kernels.BLOCK_ENTRIES`` entries (at least one state), and every label j inside each run."""
+    ma = len(axis.points)
+    step = max(1, kernels.BLOCK_ENTRIES // (ma * int(_block_sizes(base, cons, axis, gh).max())))
+    for a in range(0, len(scale), step):
+        st = slice(a, a + step)
+        for j in range(ma):
+            yield (st, j, *_symbol_block(base, cons, axis, scale[st], j, gh))
+
+
 def _snapshot(
     base: ChannelModel, cons: Constellation, axis: Axis, scale: np.ndarray, gh: int, weight: np.ndarray
 ) -> Snapshot:
@@ -211,30 +210,22 @@ def _snapshot(
     log_sub = np.empty((axis.L, 2, F, ends[-1]))
     log_pbar = np.empty((F, ends[-1]))
     log_w = np.empty((F, ends[-1]))
-    for st in _state_blocks(F, ma * int(sizes.max())):
-        for j in range(ma):
-            blk = slice(ends[j], ends[j + 1])
-            log_rows[:, st, blk], log_sub[:, :, st, blk], log_pbar[st, blk], wk = _symbol_block(
-                base, cons, axis, scale[st], j, gh
-            )
-            half = 0.5 * log_rows[:, st, blk]
-            log_w[st, blk] = np.log(wk / ma) - half[j] - kernels.log_mean(half, 0)
+    for st, j, rows, sub, pbar, wk in _label_blocks(base, cons, axis, scale, gh):
+        blk = slice(ends[j], ends[j + 1])
+        log_rows[:, st, blk], log_sub[:, :, st, blk], log_pbar[st, blk] = rows, sub, pbar
+        half = 0.5 * log_rows[:, st, blk]  # not rows: a Dmc's is label-fastest, so log_mean would sum in another order
+        log_w[st, blk] = np.log(wk / ma) - half[j] - kernels.log_mean(half, 0)
+        del rows, sub, pbar  # copied in: free them before the next block is built
     int_w = np.exp(log_w)
     int_w /= kernels.row_dot(int_w, np.exp(log_pbar))[:, None]
     return Snapshot(axis.bits, weight, int_w, log_sub, log_rows)
 
 
-def iter_snapshots(base: ChannelModel, cons: Constellation) -> Iterator[Snapshot]:
-    """Yield the snapshots of (base, cons) one axis at a time."""
-    scale, w = _fading_nodes(base, GL_NODES)
-    for axis in _axes(base, cons):
-        yield _snapshot(base, cons, axis, scale, GH_NODES, w)
-
-
 @lru_cache(maxsize=8)
 def get_ensemble(base: ChannelModel, cons: Constellation) -> Ensemble:
-    """Stored snapshot collection for (base, cons); the 8 most recently used are kept."""
-    return Ensemble(cons, list(iter_snapshots(base, cons)))
+    """Stored snapshots of (base, cons), one per axis at ``GH_NODES``/``GL_NODES``; the 8 latest are kept."""
+    scale, w = _fading_nodes(base, GL_NODES)
+    return Ensemble(cons, [_snapshot(base, cons, axis, scale, GH_NODES, w) for axis in _axes(base, cons)])
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +252,23 @@ def _moment_pass(base: ChannelModel, cons: Constellation, gh: int, gl: int):
         ma, La = len(axis.points), axis.L
         arange = np.arange(La)
         lab_bits = int_to_bits(np.arange(ma), La)  # (ma, La)
-        # per state and label: E[i], E[i^2] of each axis bit sent (a two-row
-        # sub-channel), then of the axis label sent (the ma-row axis channel)
-        mom = np.empty((F, ma, 2, La + 1))
-        for st in _state_blocks(F, ma * int(_block_sizes(base, cons, axis, gh).max())):
-            for j in range(ma):
-                log_rows, log_sub, log_pbar, wk = _symbol_block(base, cons, axis, scale[st], j, gh)
-                sent = np.concatenate([log_sub[arange, lab_bits[j]], log_rows[j][None]])  # (La+1, F', K)
-                # in place: a fresh block-sized temporary per label costs more than the arithmetic
-                sent -= log_pbar
-                sent /= LN2
-                i = np.moveaxis(sent, 1, 0)
-                mom[st, j, 0] = i @ wk
-                i *= i
-                mom[st, j, 1] = i @ wk
-        # states outer, labels inner: the order a loop over states and labels adds the terms in
-        tot = _state_sum((w[:, None, None, None] * mom / ma).reshape(-1, 2, La + 1))
+        # per state, summed over labels: E[i], E[i^2] of each axis bit sent
+        # (a two-row sub-channel), then of the axis label sent (the ma-row axis channel)
+        mom = np.zeros((F, 2, La + 1))
+        for st, j, log_rows, log_sub, log_pbar, wk in _label_blocks(base, cons, axis, scale, gh):
+            sent = np.concatenate([log_sub[arange, lab_bits[j]], log_rows[j][None]])  # (La+1, F', K)
+            # in place: a fresh block-sized temporary per label costs more than the arithmetic
+            sent -= log_pbar
+            sent /= LN2
+            i = np.moveaxis(sent, 1, 0)
+            mom[st, 0] += i @ wk
+            i *= i
+            mom[st, 1] += i @ wk
+        mom /= ma  # equiprobable labels
+        tot = (w @ mom.reshape(F, -1)).reshape(2, La + 1)
         m1[list(axis.bits)], m2[list(axis.bits)] = tot[:, :La]
         cm += tot[:, La]
-        e = mom[:, :, 0, La].mean(axis=1)
+        e = mom[:, 0, La]
         for e_b in means:
             cross += e * e_b
         means.append(e)
@@ -290,38 +279,34 @@ def _moment_pass(base: ChannelModel, cons: Constellation, gh: int, gl: int):
 _MOMENT_NAMES = ("sub-channel capacities", "sub-channel second moments", "full-input moments")
 
 
-def _finite_pass(base: ChannelModel, cons: Constellation, gh: int, gl: int):
-    res = _moment_pass(base, cons, gh, gl)
-    for name, v in zip(_MOMENT_NAMES, res):
-        if not np.all(np.isfinite(v)):
-            # more nodes cannot repair a rule that already yields NaN or inf
-            raise QuadratureConvergenceError(f"{name} are not finite at gh={gh}, gl={gl} nodes")
-    return res
-
-
-def moment_table(base: ChannelModel, cons: Constellation, *, gh: int = GH_NODES, gl: int = GL_NODES):
+def moment_table(base: ChannelModel, cons: Constellation):
     """Sub-channel and full-input information moments, from one pass per node count.
 
     Returns ``(m1, m2, cm)`` where ``m1[s-1]`` is the sub-channel capacity
     C(W_s) in bits, ``m2[s-1]`` the second moment of its information
     density, and ``cm = (E[i], E[i^2])`` for the full equiprobable input.
-    Continuous channels are gated by node doubling: starting from the base
-    node counts, all counts double until two successive passes agree within
-    ``CONVERGENCE_TOL`` (the finer result is returned), with at most
-    ``_MAX_DOUBLINGS`` escalations.  ``QuadratureConvergenceError`` is
+    Continuous channels are gated by node doubling: starting from
+    ``GH_NODES``/``GL_NODES``, all counts double until two successive passes
+    agree within ``CONVERGENCE_TOL`` (the finer result is returned), with at
+    most ``_MAX_DOUBLINGS`` escalations.  ``QuadratureConvergenceError`` is
     raised when the escalations run out, or at the first pass whose result
     is not finite.
     """
-    res = _finite_pass(base, cons, gh, gl)
-    if isinstance(base, Dmc):
-        return res
-    for _ in range(_MAX_DOUBLINGS):
-        gh, gl = 2 * gh, 2 * gl
-        fine = _finite_pass(base, cons, gh, gl)
-        worst = max(float(np.max(np.abs(a - b))) for a, b in zip(res, fine))
+    res = None
+    for k in range(_MAX_DOUBLINGS + 1):
+        gh, gl = GH_NODES << k, GL_NODES << k
+        fine = _moment_pass(base, cons, gh, gl)
+        for name, v in zip(_MOMENT_NAMES, fine):
+            if not np.all(np.isfinite(v)):
+                # more nodes cannot repair a rule that already yields NaN or inf
+                raise QuadratureConvergenceError(f"{name} are not finite at gh={gh}, gl={gl} nodes")
+        if isinstance(base, Dmc):
+            return fine  # exact: one pass
+        if res is not None:
+            worst = max(float(np.max(np.abs(a - b))) for a, b in zip(res, fine))
+            if worst <= CONVERGENCE_TOL:
+                return fine
         res = fine
-        if worst <= CONVERGENCE_TOL:
-            return res
     raise QuadratureConvergenceError(
         f"node-doubling check failed at gh={gh}, gl={gl}: max shift {worst:.3e} > {CONVERGENCE_TOL:g}"
     )

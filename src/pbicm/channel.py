@@ -179,32 +179,56 @@ def sample_batch(ch: ChannelModel, x: np.ndarray, rng: np.random.Generator):
     return h * x + n[..., 0] + 1j * n[..., 1], h
 
 
+def _parse(path: Path, field: str, convert, raw):
+    """``convert(raw)``, or a ValueError that names the file and the field."""
+    try:
+        return convert(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: {field}: cannot read {raw!r} as {convert.__name__}") from None
+
+
 def load_dmc(path: str | Path) -> Dmc:
     """Load a Dmc matrix from a .json or .csv file.
 
     JSON: object with keys ``nx``, ``ny`` and ``matrix``, either a flat
     row-major list of nx*ny probabilities or nx nested rows of ny.
     CSV: header line ``nx,ny`` followed by exactly nx rows of ny probabilities.
+    Every parse failure raises ValueError naming the file and the field.
     """
     path = Path(path)
+    if path.suffix not in (".json", ".csv"):
+        raise ValueError(f"unsupported Dmc file type: {path.suffix!r}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a text file ({exc})") from None
     if path.suffix == ".json":
-        obj = json.loads(path.read_text())
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
         for key in ("nx", "ny", "matrix"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"{path}: missing key {key!r}")
-        nx, ny, values = int(obj["nx"]), int(obj["ny"]), obj["matrix"]
+        nx, ny, values = _parse(path, "nx", int, obj["nx"]), _parse(path, "ny", int, obj["ny"]), obj["matrix"]
+        if not isinstance(values, list):
+            raise ValueError(f"{path}: matrix: expected a list, got {values!r}")
         nested = all(isinstance(r, list) for r in values)
         fits = [len(r) for r in values] == [ny] * nx if nested else len(values) == nx * ny
-    elif path.suffix == ".csv":
-        lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-        nx, ny = (int(v) for v in lines[0].split(","))
-        values = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        fits = [len(r) for r in values] == [ny] * nx
+        values = [[_parse(path, "matrix", float, v) for v in r] for r in (values if nested else [values])]
     else:
-        raise ValueError(f"unsupported Dmc file type: {path.suffix!r}")
+        lines = [ln.split(",") for ln in text.splitlines() if ln.strip()]
+        if not lines or len(lines[0]) != 2:
+            raise ValueError(f"{path}: header: expected a first line 'nx,ny'")
+        nx, ny = (_parse(path, "header", int, v) for v in lines[0])
+        values = [[_parse(path, f"row {i}", float, v) for v in row] for i, row in enumerate(lines[1:], 1)]
+        fits = [len(r) for r in values] == [ny] * nx
     if not fits:
-        raise ValueError("Dmc file shape does not match header")
-    return Dmc(np.asarray(values, dtype=float).reshape(nx, ny))
+        raise ValueError(f"{path}: matrix: Dmc file shape does not match header nx={nx}, ny={ny}")
+    try:
+        return Dmc(np.asarray(values, dtype=float).reshape(nx, ny))
+    except ValueError as exc:
+        raise ValueError(f"{path}: matrix: {exc}") from None
 
 
 def save_dmc(ch: Dmc, path: str | Path) -> None:

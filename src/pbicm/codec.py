@@ -303,11 +303,17 @@ class PbicmSimConfig:
         obj = json.loads(text)
         ch = obj["channel"]
         kind = ch["kind"]
+        # a key that does not apply to the kind is refused, not ignored, as the CLI refuses --snr-db for a dmc
+        for key in {"awgn": ("file", "matrix"), "rayleigh": ("file", "matrix"), "dmc": ("snr_db",)}.get(kind, ()):
+            if key in ch:
+                raise ValueError(f"channel key {key!r} does not apply to the {kind} channel")
         if kind == "awgn":
             channel: ChannelModel = awgn_from_snr(float(ch["snr_db"]))
         elif kind == "rayleigh":
             channel = rayleigh_from_snr(float(ch["snr_db"]))
         elif kind == "dmc":
+            if "file" in ch and "matrix" in ch:
+                raise ValueError("channel keys 'file' and 'matrix' both given for the dmc channel; give one")
             if "file" in ch:
                 channel = load_dmc(Path(base_dir) / ch["file"])
             else:

@@ -33,7 +33,7 @@ def _channel(kind: str, snr_db: float = 8.0):
 
 def _results(base, cons, y, h):
     """Moments, E0 integrals and LLRs from the uncached pipeline at (GH, GL) nodes."""
-    ens = _ensemble.Ensemble(cons, list(_ensemble.iter_snapshots(base, cons)))
+    ens = _ensemble.get_ensemble.__wrapped__(base, cons)
     return {
         "moments": np.concatenate(_ensemble._moment_pass(base, cons, GH, GL)),
         "sub_e0": np.array([ens.sub_integrals(rho) for rho in RHOS]),
@@ -113,6 +113,22 @@ def test_plane_and_exact_block_routes_are_unchanged_bit_for_bit(monkeypatch, kin
     for key in per_state:
         np.testing.assert_array_equal(axes[key], per_state[key], err_msg=key)
         np.testing.assert_array_equal(axes[key], plane[key], err_msg=key)
+
+
+@pytest.mark.parametrize("name", ["QPSK", "QAM16", "QAM64"])
+def test_runs_of_states_do_not_change_multi_axis_results(monkeypatch, name):
+    # the moment pass and the E0 grid walk one label block of a run of
+    # states at a time; with two axes per state, one state per run must
+    # give the same bits as the default runs
+    cons, base = make_constellation(name), _channel("rayleigh", 5.0)
+    monkeypatch.setattr(_ensemble, "GH_NODES", GH)
+    monkeypatch.setattr(_ensemble, "GL_NODES", GL)
+    y, h = _outputs()
+    default = _results(base, cons, y, h)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 1)
+    per_state = _results(base, cons, y, h)
+    for key in default:
+        np.testing.assert_array_equal(per_state[key], default[key], err_msg=key)
 
 
 def test_rayleigh_qam64_llrs_match_subchannel_law():

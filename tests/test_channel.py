@@ -236,6 +236,29 @@ def test_load_dmc_json_nested_rows(tmp_path):
         load_dmc(f)
 
 
+@pytest.mark.parametrize(
+    "name, content, field",
+    [
+        ("ch.json", "{", "not valid JSON"),
+        ("ch.csv", "nx,ny\n0.9,0.1\n0.1,0.9\n", "header"),
+        ("ch.csv", "2\n0.9,0.1\n0.1,0.9\n", "header"),
+        ("ch.csv", "2,2\n0.9,x\n0.1,0.9\n", "row 1"),
+        ("ch.json", '{"nx": "two", "ny": 2, "matrix": [0.9, 0.1, 0.1, 0.9]}', "nx"),
+        ("ch.json", '{"nx": 2, "ny": 2, "matrix": [[0.9, "x"], [0.1, 0.9]]}', "matrix"),
+        ("ch.csv", "", "header"),
+        ("ch.csv", "2,2\n0.9,0.1\n", "matrix"),
+    ],
+    ids=["json-syntax", "csv-header-names", "csv-header-one-value", "csv-entry", "json-count", "json-entry",
+         "csv-empty", "csv-shape"],
+)
+def test_malformed_dmc_file_names_the_file_and_the_field(tmp_path, name, content, field):
+    f = tmp_path / name
+    f.write_text(content)
+    with pytest.raises(ValueError) as err:
+        load_dmc(f)
+    assert str(err.value).startswith(f"{f}: {field}")
+
+
 def test_dmc_is_a_value():
     m = random_stochastic(np.random.default_rng(5), 3, 4)
     ch = Dmc(m)

@@ -579,3 +579,17 @@ def test_dmc_file_without_a_key_exits_with_one_line(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [f"{f}: missing key 'nx'"]
+
+
+def test_empty_dmc_csv_exits_with_one_line(tmp_path):
+    f = tmp_path / "empty.csv"
+    f.write_text("")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbicm.cli", "capacity", "--constellation", "BPSK", "--channel", "dmc",
+         "--dmc-file", str(f)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [f"{f}: header: expected a first line 'nx,ny'"]

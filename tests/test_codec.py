@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, make_rng, save_dmc
+from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, bsc, make_rng, save_dmc
 from pbicm.codec import (
     BinaryCode,
     PbicmSimConfig,
@@ -497,6 +497,23 @@ def test_sim_config_from_json(tmp_path):
                 }
             )
         )
+
+
+@pytest.mark.parametrize(
+    "channel, key",
+    [
+        ({"kind": "dmc", "file": "ch.json", "snr_db": 5}, "snr_db"),
+        ({"kind": "awgn", "snr_db": 5, "file": "ch.json"}, "file"),
+        ({"kind": "rayleigh", "snr_db": 5, "matrix": [[1.0, 0.0], [0.0, 1.0]]}, "matrix"),
+        ({"kind": "dmc", "file": "ch.json", "matrix": [[1.0, 0.0], [0.0, 1.0]]}, "matrix"),
+    ],
+    ids=["snr-on-dmc", "file-on-awgn", "matrix-on-rayleigh", "dmc-file-and-matrix"],
+)
+def test_sim_config_channel_key_that_does_not_apply_is_refused(tmp_path, channel, key):
+    save_dmc(bsc(0.1), tmp_path / "ch.json")
+    spec = {"code": {"kind": "repetition", "n": 3}, "constellation": "BPSK", "channel": channel, "trials": 10}
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        PbicmSimConfig.from_json(json.dumps(spec), base_dir=tmp_path)
 
 
 def test_wilson_ci_reference_values():

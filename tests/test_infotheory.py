@@ -551,14 +551,16 @@ def test_exponent_curve_csv(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_moment_quadrature_raises_when_nodes_cannot_converge():
+def test_moment_quadrature_raises_when_nodes_cannot_converge(monkeypatch):
+    monkeypatch.setattr(_ensemble, "GH_NODES", 1)
     with pytest.raises(QuadratureConvergenceError):
-        moment_table(Awgn(Snr(5.0).n0), make_constellation("QAM16"), gh=1)
+        moment_table(Awgn(Snr(5.0).n0), make_constellation("QAM16"))
 
 
-def test_moment_quadrature_default_is_converged():
+def test_moment_quadrature_default_is_converged(monkeypatch):
     m1a, m2a, _ = moment_table(Awgn(Snr(5.0).n0), QPSK)
-    m1b, m2b, _ = moment_table(Awgn(Snr(5.0).n0), QPSK, gh=64)
+    monkeypatch.setattr(_ensemble, "GH_NODES", 64)
+    m1b, m2b, _ = moment_table(Awgn(Snr(5.0).n0), QPSK)
     np.testing.assert_allclose(m1a, m1b, atol=1e-4)
     np.testing.assert_allclose(m2a, m2b, atol=1e-4)
 
@@ -634,21 +636,13 @@ def test_capacities_and_dispersion_share_one_moment_table(monkeypatch):
     assert c_cm >= c_pb - 1e-4 and rep.c_pbicm == c_pb
 
 
-def test_all_e0_kinds_share_one_ensemble(monkeypatch):
-    builds = []
-    real_iter = _ensemble.iter_snapshots
-
-    def counted_iter(*args, **kwargs):
-        builds.append(args)
-        return real_iter(*args, **kwargs)
-
+def test_all_e0_kinds_share_one_ensemble():
     _ensemble.get_ensemble.cache_clear()
-    monkeypatch.setattr(_ensemble, "iter_snapshots", counted_iter)
     base = Awgn(Snr(3.0).n0)
     values = [
         e0_evaluator(base, QPSK, kind, 1 if kind == "Subchannel" else None).e0(0.5) for kind in E0_KINDS
     ]
-    assert len(builds) == 1
+    assert _ensemble.get_ensemble.cache_info().misses == 1
     assert all(np.isfinite(values))
 
 
