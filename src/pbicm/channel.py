@@ -187,11 +187,26 @@ def _parse(path: Path, field: str, convert, raw):
         raise ValueError(f"{path}: {field}: cannot read {raw!r} as {convert.__name__}") from None
 
 
+_JSON_KINDS = {"integer": (int,), "number": (int, float)}
+
+
+def _json_value(path: Path, field: str, kind: str, raw):
+    """``raw`` if it is a JSON ``kind``, or a ValueError that names the file and the field.
+
+    The type must match exactly: ``int`` and ``float`` would read a JSON
+    ``true`` (a bool) as 1, and ``int`` would truncate 2.7 or read "2".
+    """
+    if type(raw) not in _JSON_KINDS[kind]:
+        raise ValueError(f"{path}: {field}: expected a JSON {kind}, got {raw!r}")
+    return raw
+
+
 def load_dmc(path: str | Path) -> Dmc:
     """Load a Dmc matrix from a .json or .csv file.
 
-    JSON: object with keys ``nx``, ``ny`` and ``matrix``, either a flat
-    row-major list of nx*ny probabilities or nx nested rows of ny.
+    JSON: object with keys ``nx`` and ``ny`` (JSON integers) and ``matrix``,
+    either a flat row-major list of nx*ny probabilities or nx nested rows of
+    ny, each a JSON number (not a bool or a string).
     CSV: header line ``nx,ny`` followed by exactly nx rows of ny probabilities.
     Every parse failure raises ValueError naming the file and the field.
     """
@@ -210,12 +225,13 @@ def load_dmc(path: str | Path) -> Dmc:
         for key in ("nx", "ny", "matrix"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"{path}: missing key {key!r}")
-        nx, ny, values = _parse(path, "nx", int, obj["nx"]), _parse(path, "ny", int, obj["ny"]), obj["matrix"]
+        nx, ny = (_json_value(path, key, "integer", obj[key]) for key in ("nx", "ny"))
+        values = obj["matrix"]
         if not isinstance(values, list):
             raise ValueError(f"{path}: matrix: expected a list, got {values!r}")
         nested = all(isinstance(r, list) for r in values)
         fits = [len(r) for r in values] == [ny] * nx if nested else len(values) == nx * ny
-        values = [[_parse(path, "matrix", float, v) for v in r] for r in (values if nested else [values])]
+        values = [[_json_value(path, "matrix", "number", v) for v in r] for r in (values if nested else [values])]
     else:
         lines = [ln.split(",") for ln in text.splitlines() if ln.strip()]
         if not lines or len(lines[0]) != 2:

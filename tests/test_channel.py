@@ -259,6 +259,30 @@ def test_malformed_dmc_file_names_the_file_and_the_field(tmp_path, name, content
     assert str(err.value).startswith(f"{f}: {field}")
 
 
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        ('{"nx": 2.7, "ny": 2, "matrix": [[0.9, 0.1], [0.1, 0.9]]}', "nx"),
+        ('{"nx": true, "ny": 2, "matrix": [0.9, 0.1]}', "nx"),
+        ('{"nx": "2", "ny": 2, "matrix": [0.9, 0.1, 0.1, 0.9]}', "nx"),
+        ('{"nx": 2, "ny": 2.0, "matrix": [0.9, 0.1, 0.1, 0.9]}', "ny"),
+        ('{"nx": 2, "ny": 2, "matrix": [[true, false], [false, true]]}', "matrix"),
+        ('{"nx": 2, "ny": 2, "matrix": [0.9, "0.1", 0.1, 0.9]}', "matrix"),
+        ('{"nx": 2, "ny": 2, "matrix": [0.9, null, 0.1, 0.9]}', "matrix"),
+    ],
+    ids=["count-fraction", "count-bool", "count-string", "count-float", "entry-bool", "entry-string", "entry-null"],
+)
+def test_dmc_json_reads_counts_and_entries_only_as_json_numbers(tmp_path, content, field):
+    f = tmp_path / "ch.json"
+    f.write_text(content)
+    with pytest.raises(ValueError) as err:
+        load_dmc(f)
+    assert str(err.value).startswith(f"{f}: {field}: expected a JSON")
+    # integer entries are numbers, as 0 and 1 are in a noiseless channel
+    f.write_text('{"nx": 2, "ny": 2, "matrix": [[1, 0], [0, 1]]}')
+    np.testing.assert_array_equal(load_dmc(f).matrix, np.eye(2))
+
+
 def test_dmc_is_a_value():
     m = random_stochastic(np.random.default_rng(5), 3, 4)
     ch = Dmc(m)

@@ -218,11 +218,15 @@ def test_ml_decode_batch_builds_one_read_only_sign_matrix_per_code():
     code = random_codebook(16, 64, 2)
     Z = make_rng(4).normal(size=(30, 16))
     first = _ml_decode_batch(code, Z)
+    assert "signs_t" not in vars(code)  # no row needed float64 scores, so that matrix was never built
+    signs32 = code.signs32_t
+    assert signs32.dtype == np.float32 and signs32.flags.c_contiguous and not signs32.flags.writeable
     signs = code.signs_t
     assert signs.shape == (16, 64) and not signs.flags.writeable
     np.testing.assert_array_equal(signs, 1.0 - 2.0 * code.codebook.T)
+    np.testing.assert_array_equal(signs32, signs)
     np.testing.assert_array_equal(_ml_decode_batch(code, Z[::-1]), first[::-1])
-    assert code.signs_t is signs  # the second decode reused it
+    assert code.signs_t is signs and code.signs32_t is signs32  # the second decode reused them
 
 
 def test_ml_decode_batch_memory_bounded():
@@ -235,6 +239,93 @@ def test_ml_decode_batch_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_ml_decode_batch_memory_bounded_when_every_row_is_rescored():
+    # an all-zero row ties every codeword, so every block is rescored in float64;
+    # a fresh code builds both of its sign matrices under the trace
+    code = random_codebook(64, 4096, seed=1)
+    Z = np.zeros((1024, 2, 64))
+    tracemalloc.start()
+    try:
+        dec = _ml_decode_batch(code, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert not dec.any()
+
+
+def _float64_decisions(code, Z):
+    """Argmax of float64 scores, one row at a time: the decisions the certified decoder must keep."""
+    signs = 1.0 - 2.0 * code.codebook.astype(float)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and argmax takes the first NaN
+        return np.array([np.argmax(signs @ z) for z in Z])
+
+
+def _float32_decisions(code, Z):
+    return np.argmax(Z.astype(np.float32) @ code.signs32_t, axis=1)
+
+
+def _pairs(code, count, seed):
+    """Codeword pairs a < b, their +-1 rows, and the coordinates where each pair differs."""
+    rng = make_rng(seed)
+    ab = np.sort(np.array([rng.choice(code.M, size=2, replace=False) for _ in range(count)]), axis=1)
+    signs = 1.0 - 2.0 * code.codebook.astype(float)
+    sa, sb = signs[ab[:, 0]], signs[ab[:, 1]]
+    return ab[:, 0], ab[:, 1], sa, sb, [np.flatnonzero(x != y) for x, y in zip(sa, sb)], rng
+
+
+def test_near_ties_are_rescored_in_float64():
+    # halfway between codewords a < b, nudged by 1e-9 toward b where they differ:
+    # float32 scores cannot see the nudge and tie a with b, float64 scores pick b
+    a, b, sa, sb, differ, rng = _pairs(_RANDOM_4096, 200, 6)
+    k = rng.integers(2, 64, size=200)[:, None] / 4  # few mantissa bits: float32 sums are exact
+    Z = k * (sa + sb) / 2
+    j = np.array([rng.choice(d) for d in differ])
+    Z[np.arange(200), j] = 1e-9 * sb[np.arange(200), j]
+    assert (_float32_decisions(_RANDOM_4096, Z) == a).all()  # the rescoring is needed on every row
+    np.testing.assert_array_equal(_ml_decode_batch(_RANDOM_4096, Z), b)
+    np.testing.assert_array_equal(_float64_decisions(_RANDOM_4096, Z), b)
+
+
+def test_certificate_bounds_rounding_below_the_float32_normal_range():
+    # with eps = 2^-149, entries 1.4 eps, 1.4 eps for a and 2.6 eps for b give a
+    # the lead 0.4 eps in float64; in float32 they round to eps, eps and 3 eps, so
+    # b leads by 2 eps, far beyond any relative bound on scores near 2^-135
+    eps = 2.0**-149
+    a, b, sa, sb, differ, _ = _pairs(_RANDOM_4096, 50, 7)
+    Z = np.where(sa == sb, 2.0**-140 * sa, 0.0)
+    rows = np.arange(50)
+    d = np.array([x[:3] for x in differ])
+    Z[rows, d[:, 0]] = 1.4 * eps * sa[rows, d[:, 0]]
+    Z[rows, d[:, 1]] = 1.4 * eps * sa[rows, d[:, 1]]
+    Z[rows, d[:, 2]] = 2.6 * eps * sb[rows, d[:, 2]]
+    assert (_float32_decisions(_RANDOM_4096, Z) == b).all()
+    np.testing.assert_array_equal(_ml_decode_batch(_RANDOM_4096, Z), a)
+    np.testing.assert_array_equal(_float64_decisions(_RANDOM_4096, Z), a)
+    # +-LLR_MAX on the coordinates where a and b agree, a tie that entries below
+    # 2^-126 would break toward b in exact arithmetic but cannot in float64
+    tiny = make_rng(8).uniform(2.0**-160, 2.0**-126, size=Z.shape)
+    Z = np.where(sa == sb, LLR_MAX * sa, tiny * sb)
+    np.testing.assert_array_equal(_ml_decode_batch(_RANDOM_4096, Z), _float64_decisions(_RANDOM_4096, Z))
+    np.testing.assert_array_equal(_ml_decode_batch(_RANDOM_4096, Z), a)
+
+
+def test_llrs_that_are_not_finite_get_the_float64_decision():
+    code = _RANDOM_4096
+    s = 1.0 - 2.0 * code.codebook.astype(float)
+    Z = make_rng(9).normal(size=(8, 64))
+    Z[0, 5] = np.nan
+    Z[1, 7] = np.inf
+    Z[2, [3, 9]] = np.inf, -np.inf
+    Z[3, :] = -np.inf
+    Z[4] = 1e39 * s[77]  # finite in float64, beyond the float32 range
+    Z[5] = 1e37 * s[78]  # float32 entries whose sum overflows
+    Z[6] = 1e37 * (s[79] + s[80]) / 2
+    Z[7] = np.nan
+    np.testing.assert_array_equal(_ml_decode_batch(code, Z), _float64_decisions(code, Z))
+    np.testing.assert_array_equal(_ml_decode_batch(code, Z)[4:7], [77, 78, 79])
 
 
 # ---------------------------------------------------------------------------
