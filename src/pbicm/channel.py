@@ -190,14 +190,14 @@ def _parse(path: Path, field: str, convert, raw):
 _JSON_KINDS = {"integer": (int,), "number": (int, float)}
 
 
-def _json_value(path: Path, field: str, kind: str, raw):
-    """``raw`` if it is a JSON ``kind``, or a ValueError that names the file and the field.
+def _json_value(field: str, kind: str, raw):
+    """``raw`` if it is a JSON ``kind``, or a ValueError that names the field.
 
     The type must match exactly: ``int`` and ``float`` would read a JSON
     ``true`` (a bool) as 1, and ``int`` would truncate 2.7 or read "2".
     """
     if type(raw) not in _JSON_KINDS[kind]:
-        raise ValueError(f"{path}: {field}: expected a JSON {kind}, got {raw!r}")
+        raise ValueError(f"{field}: expected a JSON {kind}, got {raw!r}")
     return raw
 
 
@@ -225,13 +225,13 @@ def load_dmc(path: str | Path) -> Dmc:
         for key in ("nx", "ny", "matrix"):
             if not isinstance(obj, dict) or key not in obj:
                 raise ValueError(f"{path}: missing key {key!r}")
-        nx, ny = (_json_value(path, key, "integer", obj[key]) for key in ("nx", "ny"))
+        nx, ny = (_json_value(f"{path}: {key}", "integer", obj[key]) for key in ("nx", "ny"))
         values = obj["matrix"]
         if not isinstance(values, list):
             raise ValueError(f"{path}: matrix: expected a list, got {values!r}")
         nested = all(isinstance(r, list) for r in values)
         fits = [len(r) for r in values] == [ny] * nx if nested else len(values) == nx * ny
-        values = [[_json_value(path, "matrix", "number", v) for v in r] for r in (values if nested else [values])]
+        values = [[_json_value(f"{path}: matrix", "number", v) for v in r] for r in (values if nested else [values])]
     else:
         lines = [ln.split(",") for ln in text.splitlines() if ln.strip()]
         if not lines or len(lines[0]) != 2:

@@ -25,6 +25,7 @@ from .channel import (
     ChannelModel,
     Dmc,
     RayleighCsi,
+    _json_value,
     awgn_from_snr,
     load_dmc,
     make_rng,
@@ -118,13 +119,19 @@ def random_codebook(n: int, M: int, seed: int) -> BinaryCode:
 
 
 def make_code(spec: dict) -> BinaryCode:
+    """The code of a simulation spec's ``code`` object; its sizes and seed must be JSON integers."""
     kind = spec.get("kind")
+    spec = {"seed": 0, **spec}
+
+    def integer(key: str) -> int:
+        return _json_value(f"code.{key}", "integer", spec[key])
+
     if kind == "repetition":
-        return repetition(int(spec["n"]))
+        return repetition(integer("n"))
     if kind == "hamming74":
         return hamming74()
     if kind == "random":
-        return random_codebook(int(spec["n"]), int(spec["M"]), int(spec.get("seed", 0)))
+        return random_codebook(integer("n"), integer("M"), integer("seed"))
     raise ValueError(f"unknown code kind: {kind!r}")
 
 
@@ -343,25 +350,28 @@ class PbicmSimConfig:
         for key in {"awgn": ("file", "matrix"), "rayleigh": ("file", "matrix"), "dmc": ("snr_db",)}.get(kind, ()):
             if key in ch:
                 raise ValueError(f"channel key {key!r} does not apply to the {kind} channel")
-        if kind == "awgn":
-            channel: ChannelModel = awgn_from_snr(float(ch["snr_db"]))
-        elif kind == "rayleigh":
-            channel = rayleigh_from_snr(float(ch["snr_db"]))
+        # values are read by JSON type: a float count or a boolean seed is refused, not truncated or read as 1
+        if kind in ("awgn", "rayleigh"):
+            snr_db = float(_json_value("channel.snr_db", "number", ch["snr_db"]))
+            channel: ChannelModel = (awgn_from_snr if kind == "awgn" else rayleigh_from_snr)(snr_db)
         elif kind == "dmc":
             if "file" in ch and "matrix" in ch:
                 raise ValueError("channel keys 'file' and 'matrix' both given for the dmc channel; give one")
             if "file" in ch:
                 channel = load_dmc(Path(base_dir) / ch["file"])
             else:
-                channel = Dmc(np.asarray(ch["matrix"], dtype=float))
+                rows = ch["matrix"]
+                if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+                    raise ValueError(f"channel.matrix: expected a list of rows, got {rows!r}")
+                channel = Dmc(np.array([[_json_value("channel.matrix", "number", v) for v in r] for r in rows]))
         else:
             raise ValueError(f"unknown channel kind: {kind!r}")
         return cls(
             code=make_code(obj["code"]),
             cons=make_constellation(obj["constellation"]),
             channel=channel,
-            trials=int(obj["trials"]),
-            seed=int(obj.get("seed", 0)),
+            trials=_json_value("trials", "integer", obj["trials"]),
+            seed=_json_value("seed", "integer", obj.get("seed", 0)),
         )
 
 

@@ -90,30 +90,30 @@ def llr_batch(y, h, points, n0, sets, llr_max) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gallager integrand sums over weighted output grids, one per channel state:
-# sum_k w_k * (mean_x e^{q logd[x, k]})^{1/q} with q = 1/(1+rho) over the
-# rows x of an equiprobable input.  A binary sub-channel is the two-row case.
-# Leading axes are states: each returns one value per state.
+# Gallager integrand sums over output sets grouped by channel state:
+# sum_k (mean_x e^{q logd[x, k]})^{1/q} with q = 1/(1+rho) over the rows x
+# of an equiprobable input.  A binary sub-channel is the two-row case.
+# Each returns one sum per state; the caller weighs the outputs.
 # ---------------------------------------------------------------------------
 
 
-def row_dot(a, b):
-    """sum_k a[..., k] b[..., k] per leading index, each by the same BLAS dot as ``np.dot`` on one row."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def e0_binary_integral(ld0, ld1, w, rho):
+def e0_binary_integral(ld0, ld1, starts, rho):
     """Two-row ``e0_mary_integral``; no library code calls it, ``perfbench/tracing.py`` wraps it."""
-    return e0_mary_integral(np.stack([ld0, ld1]), w, rho)
+    return e0_mary_integral(np.stack([ld0, ld1]), starts, rho)
 
 
-def e0_mary_integral(logd, w, rho):
-    """Gallager integrand sums of m-ary equiprobable snapshots: logd (m, ..., K), w (..., K)."""
+def e0_mary_integral(logd, starts, rho):
+    """Gallager integrand sums of an m-ary equiprobable input: logd (m, ..., N), outputs grouped by state.
+
+    The group of state f starts at output ``starts[f]``; returns (..., F).
+    """
     q = 1.0 / (1.0 + rho)
-    # accumulate row by row (the order mean(axis=0) adds in): an (m, ..., K)
+    # accumulate row by row (the order mean(axis=0) adds in): an (m, ..., N)
     # temporary per call is large enough for malloc to map and fault it in
     # anew on every call
     t = np.exp(q * logd[0])
     for row in logd[1:]:
         t += np.exp(q * row)
-    return row_dot(w, (t / logd.shape[0]) ** (1.0 / q))
+    t /= logd.shape[0]
+    t **= 1.0 / q
+    return np.add.reduceat(t, starts, axis=-1)

@@ -165,6 +165,17 @@ def _qam16(n0: float, fading: bool) -> dict:
     return out
 
 
+def e0(cons: str, n0: float, fading: bool, kind: str, rho: float) -> float:
+    """E0(rho) in bits of "BPSK" or "QPSK", at any rho: kind "WbarCombined" (one bit's binary channel) or
+    "Unconstrained" (the full input)."""
+    bits, amp2 = _BITS_AMP2[cons]
+    power = bits if kind == "Unconstrained" else 1
+    return -math.log2(_expect(lambda mu: _bpsk("g", mu, rho) ** power, n0, amp2, fading))
+
+
+_BITS_AMP2 = {"BPSK": (1, 1.0), "QPSK": (2, 0.5)}  # bits per symbol, squared amplitude per bit
+
+
 def reference(cons: str, n0: float, fading: bool) -> dict:
     """Capacities, sub-channel second moments and E0 at rho in RHOS for "BPSK", "QPSK" or "QAM16".
 
@@ -173,9 +184,9 @@ def reference(cons: str, n0: float, fading: bool) -> dict:
     """
     if cons == "QAM16":
         return _qam16(n0, fading)
-    if cons not in ("BPSK", "QPSK"):
+    if cons not in _BITS_AMP2:
         raise ValueError("the oracle covers BPSK, QPSK and QAM16")
-    bits, amp2 = (1, 1.0) if cons == "BPSK" else (2, 0.5)
+    bits, amp2 = _BITS_AMP2[cons]
     c = _expect(lambda mu: _bpsk("c", mu, 0.0), n0, amp2, fading)
     out = {
         "c_cm": bits * c,
@@ -185,7 +196,6 @@ def reference(cons: str, n0: float, fading: bool) -> dict:
         "e0_unconstrained": {},
     }
     for rho in RHOS:
-        g = lambda mu, rho=rho: _bpsk("g", mu, rho)
-        out["e0_wbar"][rho] = -math.log2(_expect(g, n0, amp2, fading))
-        out["e0_unconstrained"][rho] = -math.log2(_expect(lambda mu: g(mu) ** bits, n0, amp2, fading))
+        out["e0_wbar"][rho] = e0(cons, n0, fading, "WbarCombined", rho)
+        out["e0_unconstrained"][rho] = e0(cons, n0, fading, "Unconstrained", rho)
     return out

@@ -2,8 +2,9 @@
 
 Every layer runs a constellation axis by axis.  For the product labelings
 (BPSK, QPSK, QAM16, QAM64) that is an exact reduction to 1-D PAM axes; run
-at equal node counts, it must agree with the same pipeline run on the whole
-constellation as one 2-D axis up to rounding.
+at the same resolution, it must agree with the same pipeline run on the whole
+constellation as one 2-D axis up to rounding: the plane's output lattice is
+the product of its axes' lattices.
 """
 import warnings
 
@@ -19,7 +20,7 @@ from conftest import random_stochastic
 
 FACTORED = ("BPSK", "QPSK", "QAM16", "QAM64")
 RHOS = (0.3, 1.0, 2.0)
-GH, GL = 8, 16  # small equal node counts keep the 2-D route of QAM64 cheap
+STEP, GL = 0.5, 16  # few fading nodes keep the 2-D route of QAM64 cheap; a coarser step misses 1e-12
 
 
 def _whole_plane(cons: Constellation) -> tuple[Axis, ...]:
@@ -32,10 +33,10 @@ def _channel(kind: str, snr_db: float = 8.0):
 
 
 def _results(base, cons, y, h):
-    """Moments, E0 integrals and LLRs from the uncached pipeline at (GH, GL) nodes."""
+    """Moments, E0 integrals and LLRs from the uncached pipeline at (STEP, GL)."""
     ens = _ensemble.get_ensemble.__wrapped__(base, cons)
     return {
-        "moments": np.concatenate(_ensemble._moment_pass(base, cons, GH, GL)),
+        "moments": np.concatenate(_ensemble._moment_pass(base, cons, STEP, GL)),
         "sub_e0": np.array([ens.sub_integrals(rho) for rho in RHOS]),
         "mary_e0": np.array([ens.mary_integral(rho) for rho in RHOS]),
         "llr": llr_matrix(base, cons, y, h) if isinstance(base, RayleighCsi) else llr_matrix(base, cons, y),
@@ -48,7 +49,7 @@ def _outputs(n=500, seed=21):
 
 
 def _both_routes(monkeypatch, base, cons, y, h):
-    monkeypatch.setattr(_ensemble, "GH_NODES", GH)
+    monkeypatch.setattr(_ensemble, "LATTICE_STEP", STEP)
     monkeypatch.setattr(_ensemble, "GL_NODES", GL)
     axes = _results(base, cons, y, h)
     monkeypatch.setattr(Constellation, "axes", property(_whole_plane), raising=False)
@@ -96,7 +97,7 @@ def test_axis_route_matches_plane_route_at_equal_nodes(monkeypatch, name, kind):
 
 @pytest.mark.parametrize("kind", ["awgn", "rayleigh", "dmc"])
 def test_plane_and_exact_block_routes_are_unchanged_bit_for_bit(monkeypatch, kind):
-    # PSK8 is one 2-D axis and a Dmc one exact-block axis whatever the labels:
+    # PSK8 is one 2-D axis and a Dmc one exact axis whatever the labels:
     # forcing the whole-plane route changes nothing, and neither does running
     # one channel state (or one demapped sample) per block, as the states
     # were once looped
@@ -104,7 +105,7 @@ def test_plane_and_exact_block_routes_are_unchanged_bit_for_bit(monkeypatch, kin
     base = Dmc(random_stochastic(np.random.default_rng(8), 8, 6)) if kind == "dmc" else _channel(kind, 5.0)
     blocks = kernels.BLOCK_ENTRIES
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 1)
-    monkeypatch.setattr(_ensemble, "GH_NODES", GH)
+    monkeypatch.setattr(_ensemble, "LATTICE_STEP", STEP)
     monkeypatch.setattr(_ensemble, "GL_NODES", GL)
     y, h = (np.arange(6).repeat(2), None) if kind == "dmc" else _outputs()
     per_state = _results(base, cons, y, h)
@@ -117,11 +118,11 @@ def test_plane_and_exact_block_routes_are_unchanged_bit_for_bit(monkeypatch, kin
 
 @pytest.mark.parametrize("name", ["QPSK", "QAM16", "QAM64"])
 def test_runs_of_states_do_not_change_multi_axis_results(monkeypatch, name):
-    # the moment pass and the E0 grid walk one label block of a run of
+    # the moment pass and the E0 ensemble walk the outputs of one run of
     # states at a time; with two axes per state, one state per run must
     # give the same bits as the default runs
     cons, base = make_constellation(name), _channel("rayleigh", 5.0)
-    monkeypatch.setattr(_ensemble, "GH_NODES", GH)
+    monkeypatch.setattr(_ensemble, "LATTICE_STEP", STEP)
     monkeypatch.setattr(_ensemble, "GL_NODES", GL)
     y, h = _outputs()
     default = _results(base, cons, y, h)

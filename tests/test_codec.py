@@ -607,6 +607,39 @@ def test_sim_config_channel_key_that_does_not_apply_is_refused(tmp_path, channel
         PbicmSimConfig.from_json(json.dumps(spec), base_dir=tmp_path)
 
 
+@pytest.mark.parametrize(
+    "keys, value, field",
+    [
+        (("code", "n"), 3.9, "code.n"),
+        (("code", "M"), "4", "code.M"),
+        (("code", "seed"), True, "code.seed"),
+        (("trials",), 2.5, "trials"),
+        (("seed",), True, "seed"),
+        (("channel", "snr_db"), "5", "channel.snr_db"),
+        (("channel",), {"kind": "dmc", "matrix": [[True, False], [False, True]]}, "channel.matrix"),
+        (("channel",), {"kind": "dmc", "matrix": [1.0, 0.0, 0.0, 1.0]}, "channel.matrix"),
+    ],
+    ids=["float-n", "string-M", "bool-code-seed", "float-trials", "bool-seed", "string-snr", "bool-matrix", "flat-matrix"],
+)
+def test_sim_config_refuses_a_value_of_the_wrong_json_type(keys, value, field):
+    # int() and float() would truncate 3.9, read "4" and read true as 1
+    spec = {
+        "code": {"kind": "random", "n": 4, "M": 4, "seed": 1},
+        "constellation": "BPSK",
+        "channel": {"kind": "awgn", "snr_db": 5.0},
+        "trials": 10,
+        "seed": 0,
+    }
+    PbicmSimConfig.from_json(json.dumps(spec))  # the spec as written is valid
+    *outer, last = keys
+    target = spec
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValueError, match=f"^{field}: expected a"):
+        PbicmSimConfig.from_json(json.dumps(spec))
+
+
 def test_wilson_ci_reference_values():
     lo, hi = wilson_ci(5, 10)
     assert lo == pytest.approx(0.236593090512564, abs=1e-12)

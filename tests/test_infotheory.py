@@ -552,14 +552,15 @@ def test_exponent_curve_csv(tmp_path):
 
 
 def test_moment_quadrature_raises_when_nodes_cannot_converge(monkeypatch):
-    monkeypatch.setattr(_ensemble, "GH_NODES", 1)
+    # steps of 8, 4, 2 and 1 sigma: too coarse for two successive passes to agree
+    monkeypatch.setattr(_ensemble, "LATTICE_STEP", 8.0)
     with pytest.raises(QuadratureConvergenceError):
         moment_table(Awgn(Snr(5.0).n0), make_constellation("QAM16"))
 
 
 def test_moment_quadrature_default_is_converged(monkeypatch):
     m1a, m2a, _ = moment_table(Awgn(Snr(5.0).n0), QPSK)
-    monkeypatch.setattr(_ensemble, "GH_NODES", 64)
+    monkeypatch.setattr(_ensemble, "LATTICE_STEP", _ensemble.LATTICE_STEP / 2)
     m1b, m2b, _ = moment_table(Awgn(Snr(5.0).n0), QPSK)
     np.testing.assert_allclose(m1a, m1b, atol=1e-4)
     np.testing.assert_allclose(m2a, m2b, atol=1e-4)
@@ -581,17 +582,17 @@ def test_moment_quadrature_stops_at_first_non_finite_pass(monkeypatch):
 
     monkeypatch.setattr(_ensemble, "_fading_nodes", nan_rule)
     monkeypatch.setattr(_ensemble, "_moment_pass", counted_pass)
-    with pytest.raises(QuadratureConvergenceError, match="gh=32, gl=64") as err:
+    with pytest.raises(QuadratureConvergenceError, match="step=0.5, gl=64") as err:
         moment_table(RayleighCsi(Snr(5.0).n0), BPSK)
     assert "not finite" in str(err.value)
-    assert passes == [(32, 64)]
+    assert passes == [(0.5, 64)]
 
 
 @pytest.mark.parametrize("snr_db", [-30.0, -10.0, 0.0, 10.0, 20.0, 30.0, 50.0, 100.0])
 @pytest.mark.parametrize("fading", [False, True], ids=["awgn", "rayleigh"])
 @pytest.mark.parametrize("cons_name", ["BPSK", "QPSK", "QAM16"])
 def test_quadrature_matches_adaptive_oracle_or_raises(cons_name, fading, snr_db):
-    # a gate that compares two node counts can pass a value both counts
+    # a gate that compares two resolutions can pass a value both resolutions
     # miss; the oracle shares none of the library's rules.  Raising is an
     # honest answer, a silent miss is not.
     n0 = Snr(snr_db).n0
@@ -611,6 +612,49 @@ def test_quadrature_matches_adaptive_oracle_or_raises(cons_name, fading, snr_db)
         ev = e0_evaluator(base, cons, kind)
         for rho, want in ref[key].items():
             assert ev.e0(rho) == pytest.approx(want, abs=tol), (kind, rho)
+
+
+LARGE_RHOS = (3.0, 10.0, 30.0, 100.0)
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 20.0])
+@pytest.mark.parametrize("fading", [False, True], ids=["awgn", "rayleigh"])
+@pytest.mark.parametrize("cons_name", ["BPSK", "QPSK"])
+def test_large_rho_e0_matches_adaptive_oracle_or_raises(cons_name, fading, snr_db):
+    # the sphere-packing search runs rho up to RHO_MAX, where the Gallager
+    # integrand sits between the points rather than on them
+    n0 = Snr(snr_db).n0
+    base, cons = (RayleighCsi if fading else Awgn)(n0), make_constellation(cons_name)
+    for kind in ("WbarCombined", "Unconstrained"):
+        ev = e0_evaluator(base, cons, kind)
+        for rho in LARGE_RHOS:
+            try:
+                got = ev.e0(rho)
+            except QuadratureConvergenceError:
+                continue
+            want = oracle.e0(cons_name, n0, fading, kind, rho)
+            assert got == pytest.approx(want, abs=_ensemble.CONVERGENCE_TOL), (kind, rho)
+
+
+@pytest.mark.parametrize(
+    "cons_name, fading, snr_db",
+    [("BPSK", False, 10.0), ("BPSK", False, 20.0), ("QPSK", False, 10.0), ("QPSK", False, 20.0), ("BPSK", True, 10.0)],
+    ids=["BPSK-awgn-10.0", "BPSK-awgn-20.0", "QPSK-awgn-10.0", "QPSK-awgn-20.0", "BPSK-rayleigh-10.0"],
+)
+def test_low_rate_sphere_packing_matches_adaptive_oracle_or_raises(cons_name, fading, snr_db):
+    # the same rho search on the oracle's E0; one fading case, since each
+    # oracle E0 there costs a nested adaptive quadrature
+    n0 = Snr(snr_db).n0
+    base, cons = (RayleighCsi if fading else Awgn)(n0), make_constellation(cons_name)
+    for kind in ("WbarCombined", "Unconstrained"):
+        ev = e0_evaluator(base, cons, kind)
+        for rate in (0.01, 0.1):
+            try:
+                got = sphere_packing_exponent(ev, rate)
+            except QuadratureConvergenceError:
+                continue
+            want = _opt.exponent_max(lambda rho: oracle.e0(cons_name, n0, fading, kind, rho), rate, sphere=True)
+            assert got == pytest.approx(want, abs=_ensemble.CONVERGENCE_TOL), (kind, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +702,8 @@ def test_two_loads_of_one_dmc_file_share_one_ensemble(tmp_path):
 @pytest.mark.parametrize("base", [Awgn(Snr(5.0).n0), RayleighCsi(Snr(5.0).n0)], ids=["awgn", "rayleigh"])
 def test_e0_slope_at_zero_matches_capacities(base):
     # E0'(0) is the mutual information; the E0 ensemble and the moment pass
-    # are built from the same Hermite blocks, reduced two ways (the union
-    # grid is ungated, hence the looser tolerance)
+    # read the same output lattice, reduced two ways (E0 is ungated, hence
+    # the looser tolerance)
     h = 1e-6
     cons = make_constellation("PSK8")
     assert e0_evaluator(base, cons, "Unconstrained").e0(h) / h == pytest.approx(capacity_cm(base, cons), abs=1e-3)
