@@ -170,13 +170,15 @@ def sample_batch(ch: ChannelModel, x: np.ndarray, rng: np.random.Generator):
         cdf = np.cumsum(ch.matrix, axis=1)
         # no last threshold: rows may sum to 1 - 1e-9, and a draw above that is still output ny-1
         return (u[..., None] > cdf[x, :-1]).sum(axis=-1).astype(np.int64)
+    # each (..., 2) draw of real and imaginary parts is read as complex in place
     if isinstance(ch, Awgn):
-        n = rng.normal(scale=np.sqrt(ch.n0 / 2), size=(*x.shape, 2))
-        return x + n[..., 0] + 1j * n[..., 1]
-    g = rng.normal(scale=np.sqrt(0.5), size=(*x.shape, 2))
-    h = g[..., 0] + 1j * g[..., 1]
-    n = rng.normal(scale=np.sqrt(ch.n0 / 2), size=(*x.shape, 2))
-    return h * x + n[..., 0] + 1j * n[..., 1], h
+        y = rng.normal(scale=np.sqrt(ch.n0 / 2), size=(*x.shape, 2)).view(complex)[..., 0]
+        y += x
+        return y
+    h = rng.normal(scale=np.sqrt(0.5), size=(*x.shape, 2)).view(complex)[..., 0]
+    y = rng.normal(scale=np.sqrt(ch.n0 / 2), size=(*x.shape, 2)).view(complex)[..., 0]
+    y += h * x
+    return y, h
 
 
 def _parse(path: Path, field: str, convert, raw):

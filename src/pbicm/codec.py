@@ -32,7 +32,7 @@ from .channel import (
     rayleigh_from_snr,
     sample_batch,
 )
-from .constellation import Constellation, bits_to_int, int_to_bits, make_constellation
+from .constellation import Constellation, make_constellation
 from .subchannel import check_labeling, llr_matrix
 
 MAX_CODEBOOK = 2**16
@@ -43,6 +43,15 @@ _CHUNK = 8192
 # rows per block: 8 rows 56 ms, 32 rows 32 ms, 128 rows 25 ms, 256 rows
 # 24 ms, 512 rows 25 ms; the whole (2048, 4096) score array at once, 31 ms.
 _SCORE_BLOCK = 1 << 20
+# Codes of at most this many codewords are scored in float64 outright: on short
+# score rows the float32 certificate (a second argmax, row sizes, the gap test)
+# costs more than the float32 GEMM saves.  Median time of a 30,000-row decode
+# (same VM and thread), float32 with certificate against float64: M = 2 (n = 5)
+# 5.1 vs 0.9 ms, M = 16 (Hamming(7,4)) 10.6 vs 3.2 ms, M = 32 (n = 15) 11.0 vs
+# 4.4 ms, M = 64 (n = 16) 11.8 vs 6.5 ms, M = 128 14.5 vs 11.3 ms, M = 256 18.1
+# vs 18.1 ms.  The crossover is near 256; the limit stays below 64 so that the
+# tests' codes of 64 codewords and more keep exercising the float32 path.
+_FLOAT64_MAX_M = 32
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +215,21 @@ def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
     twice a bound on how far a float32 score can be from the float64 one; it
     is then also the unique float64 winner.  Any other row (a near tie, or an
     LLR that is not finite) is rescored in float64, so the decisions, ties
-    included, are those of float64 scores.
+    included, are those of float64 scores.  Codes of at most
+    ``_FLOAT64_MAX_M`` codewords skip float32 and score every row in float64.
     """
     if Z.shape[-1] != code.n:
         raise ValueError(f"LLR rows have length {Z.shape[-1]}, but the code blocklength is {code.n}")
     rows = Z.reshape(-1, code.n)
     R, step = len(rows), max(1, _SCORE_BLOCK // code.M)
-    buf = np.empty((min(step, R), code.M), dtype=np.float32)
     out = np.empty(R, dtype=np.intp)
+    if code.M <= _FLOAT64_MAX_M:
+        step = max(1, _SCORE_BLOCK // (8 * code.M))  # 1 MiB blocks: as fast as 8 MiB ones, and a lower peak RSS
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(0, R, step):
+                (rows[k : k + step] @ code.signs_t).argmax(axis=-1, out=out[k : k + step])
+        return out.reshape(Z.shape[:-1])
+    buf = np.empty((min(step, R), code.M), dtype=np.float32)
     # Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1: a
     # length-n dot product in unit roundoff u is off by at most g_n sum|x_j y_j|
     # in any summation order, g_n = n u / (1 - n u) <= 1.01 n u for n u <= 0.01.
@@ -251,22 +267,51 @@ def _map_and_sample(base: ChannelModel, cons: Constellation, lab: np.ndarray, rn
     return sample_batch(base, x, rng)
 
 
-def _llr_of_outputs(base: ChannelModel, cons: Constellation, out) -> np.ndarray:
-    """(..., L, n) LLRs of channel outputs of shape (..., n), any base type."""
-    ys = [np.asarray(a) for a in (out if isinstance(base, RayleighCsi) else (out,))]
-    z = llr_matrix(base, cons, *(a.ravel() for a in ys))  # (L, N)
-    return np.moveaxis(z.reshape(cons.L, *ys[0].shape), 0, -2)
+def _interleaved_labels(B: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Labels of the columns of ``interleave(B, s)``, bits (..., L, n) and states (..., n).
+
+    Each column of B is packed MSB-first, then rotated left by its state
+    within L bits: the same integers as
+    ``bits_to_int(np.moveaxis(interleave(B, s), -2, -1))``.
+    """
+    L = B.shape[-2]
+    lab = B[..., 0, :].astype(np.int64)
+    for row in range(1, L):
+        lab <<= 1
+        lab |= B[..., row, :]
+    lab = (lab << s) | (lab >> (L - s))
+    lab &= (1 << L) - 1
+    return lab
+
+
+def _deinterleaved_llrs(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``deinterleave`` of the (L, N) LLRs of N outputs shaped like the states s (..., n), read in one take.
+
+    Row l of column k is row (l - s_k) mod L of z, the mod taken by adding L
+    where l - s_k < 0; its flat index is that row times N plus k.
+    """
+    L, N = z.shape
+    idx = np.arange(L)[:, None] - s[..., None, :]
+    idx += L * (idx < 0)
+    idx *= N
+    idx += np.arange(N).reshape(s.shape)[..., None, :]
+    return np.take(z, idx)
+
+
+def _llr_rows(base: ChannelModel, cons: Constellation, out) -> np.ndarray:
+    """(L, N) LLRs of channel outputs of any base type, N the number of outputs."""
+    ys = out if isinstance(base, RayleighCsi) else (out,)
+    return llr_matrix(base, cons, *(np.asarray(a).ravel() for a in ys))
 
 
 def _send(base: ChannelModel, cons: Constellation, cw, d, s, rng):
     """Dither, interleave, pack and map (..., L, n) codeword bits, then send them."""
-    lab = bits_to_int(np.moveaxis(interleave(apply_dither(cw, d), s), -2, -1))
-    return _map_and_sample(base, cons, lab, rng)
+    return _map_and_sample(base, cons, _interleaved_labels(apply_dither(cw, d), s), rng)
 
 
 def _receive_llrs(base: ChannelModel, cons: Constellation, out, d, s) -> np.ndarray:
     """Demap, de-interleave and de-dither channel outputs -> (..., L, n) LLRs."""
-    return remove_dither_llr(deinterleave(_llr_of_outputs(base, cons, out), s), d)
+    return remove_dither_llr(_deinterleaved_llrs(_llr_rows(base, cons, out), s), d)
 
 
 def _direct_llrs(base: ChannelModel, cons: Constellation, bits: np.ndarray, rng) -> np.ndarray:
@@ -281,8 +326,9 @@ def _direct_llrs(base: ChannelModel, cons: Constellation, bits: np.ndarray, rng)
     u = rng.integers(0, cons.m, size=bits.shape)
     shift = L - s
     lab = (u & ~(1 << shift)) | ((bits ^ d).astype(np.int64) << shift)
-    z = _llr_of_outputs(base, cons, _map_and_sample(base, cons, lab, rng))
-    return remove_dither_llr(np.take_along_axis(z, (s - 1)[..., None, :], axis=-2)[..., 0, :], d)
+    z = _llr_rows(base, cons, _map_and_sample(base, cons, lab, rng))
+    N = z.shape[1]
+    return remove_dither_llr(np.take(z, (s - 1) * N + np.arange(N).reshape(s.shape)), d)  # row s - 1 of each output
 
 
 def pbicm_transmit(
@@ -434,7 +480,8 @@ def _simulate_chunk(cfg: PbicmSimConfig, t: int, rng: np.random.Generator):
     msgs, _, z = _pipeline(cfg, t, rng)
     dec = _ml_decode_batch(code, z)  # (t, L)
     lvl_err = dec != msgs
-    bit_err = int_to_bits(dec ^ msgs, code.message_bits).sum(axis=(0, 2))  # per level
+    diff = dec ^ msgs
+    bit_err = sum(((diff >> b) & 1).sum(axis=0) for b in range(code.message_bits))  # per level
 
     # Direct synthesis of the randomized binary channel, same code.
     msgs_w = rng.integers(0, code.M, size=t)

@@ -61,15 +61,51 @@ def log_densities(y, h, points, n0) -> np.ndarray:
     return acc
 
 
+# A set whose mean, relative to its output's peak over all labels, is below
+# this may have lost precision to underflow; it is summed again on its own.
+_SHARED_SHIFT_FLOOR = 2.0**-900
+# Shifted log densities are raised to this before the exponential: numpy's exp
+# of an argument whose result is subnormal (-745 to -708) took ~100x as long as
+# of -700 on a 2-core x86 VM, and one below that ~15x.  A raised term adds at
+# most e^-700 < 2^-1009 to its set's mean, under 2^-109 of any mean kept above
+# the floor; a mean below it is summed again anyway.
+_SHIFTED_MIN = -700.0
+
+
 def log_subchannel(log_rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """(L, 2, N) log W_s(y|b) from (m, N) log rows; ``sets[s, b]``: labels with bit s = b.
 
-    One level at a time: one (L, 2, m/2, N) gather is ~107 MB for QAM64 at N = 35,000.
+    Each output's rows are shifted by its peak over all labels and
+    exponentiated once, so a label costs one exponential, not one per level;
+    each set is then summed by row adds in a fixed order, which no block
+    size changes.  Where a set's mean is below ``_SHARED_SHIFT_FLOOR`` times
+    the peak's density, its terms may have underflowed: those entries are
+    recomputed by ``log_mean`` of the set alone, which also keeps an all
+    -inf set -inf.
     """
-    out = np.empty((sets.shape[0], 2, log_rows.shape[1]))
-    for s in range(sets.shape[0]):
-        out[s] = log_mean(log_rows[sets[s]], 1)
-    return out
+    L, _, half = sets.shape
+    flat = sets.reshape(2 * L, half)
+    if half == 1:  # a set of one label is that label's row, which is also log_mean's value bit for bit
+        return log_rows[flat[:, 0]].reshape(L, 2, -1)
+    peak = log_rows.max(axis=0)
+    peak[peak == -np.inf] = 0.0  # an all -inf output would shift to -inf - -inf = NaN
+    e = log_rows - peak
+    np.maximum(e, _SHIFTED_MIN, out=e)
+    np.exp(e, out=e)
+    s = e[flat[:, 0]]
+    for c in range(1, half):
+        s += e[flat[:, c]]
+    s *= 1.0 / half  # exact: a set holds a power of two labels
+    low = s < _SHARED_SHIFT_FLOOR
+    with np.errstate(divide="ignore"):  # a zero sum is one of the entries replaced below
+        np.log(s, out=s)
+    s += peak
+    if low.any():  # far cheaper than nonzero on a mask that is all False, the common case
+        sets_low, k = np.nonzero(low)
+        # (half, count) terms gathered by flat index: take returns them C-contiguous, so
+        # log_mean reduces them row by row, the order it sums one set's rows in
+        s[sets_low, k] = log_mean(np.take(log_rows, flat[sets_low].T * log_rows.shape[1] + k), 0)
+    return s.reshape(L, 2, -1)
 
 
 def llr_batch(y, h, points, n0, sets, llr_max) -> np.ndarray:

@@ -137,15 +137,15 @@ def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.nda
             raise ValueError("output outside channel support")
         ls = kernels.log_subchannel(log_rows, label_sets(cons.L))
         return np.clip(ls[:, 0] - ls[:, 1], -LLR_MAX, LLR_MAX)
-    y = np.asarray(y, dtype=complex).ravel()
+    y = np.asarray(y, dtype=complex).ravel()  # contiguous, so its (N, 2) coordinates are a view
     if h is None:
-        coords, gain = np.stack([y.real, y.imag], axis=1), None
+        coords, gain = y.view(np.float64).reshape(-1, 2), None
     else:
         h = np.asarray(h, dtype=complex).ravel()
         gain = np.abs(h)
-        rot = y * h.conj()
         coords = np.zeros((y.size, 2))
-        np.divide(np.stack([rot.real, rot.imag], axis=1), gain[:, None], out=coords, where=gain[:, None] > 0)
+        rot = y * h.conj()
+        np.divide(rot.view(np.float64).reshape(-1, 2), gain[:, None], out=coords, where=gain[:, None] > 0)
     out = np.empty((cons.L, y.size))
     for axis in cons.axes:
         out[list(axis.bits)] = kernels.llr_batch(

@@ -9,7 +9,10 @@ from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, bsc, make_rng, save_dmc
 from pbicm.codec import (
     BinaryCode,
     PbicmSimConfig,
+    _FLOAT64_MAX_M,
     _SCORE_BLOCK,
+    _deinterleaved_llrs,
+    _interleaved_labels,
     _ml_decode_batch,
     _two_sample_discrete,
     PbicmState,
@@ -29,7 +32,7 @@ from pbicm.codec import (
     simulate,
     wilson_ci,
 )
-from pbicm.constellation import make_constellation
+from pbicm.constellation import bits_to_int, make_constellation
 from pbicm.subchannel import LLR_MAX
 
 QPSK = make_constellation("QPSK")
@@ -132,6 +135,22 @@ def test_interleave_round_trip_property(L, n, T, seed):
         np.testing.assert_array_equal(shift(Bt, St), [shift(b, x) for b, x in zip(Bt, St)])
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 4), st.integers(0, 10**6))
+def test_label_rotation_and_flat_take_are_interleave_and_deinterleave(L, n, T, seed):
+    # the sender rotates packed labels and the receiver reads llr_matrix's
+    # (L, N) rows with one take; both must be the public column shifts
+    rng = np.random.default_rng(seed)
+    B = rng.integers(0, 2, size=(T, L, n)).astype(np.uint8)
+    S = rng.integers(0, L, size=(T, n))
+    np.testing.assert_array_equal(_interleaved_labels(B, S), bits_to_int(np.moveaxis(interleave(B, S), -2, -1)))
+    z = rng.normal(size=(L, T * n))  # LLRs of the T * n outputs, in the order of the states
+    np.testing.assert_array_equal(_deinterleaved_llrs(z, S), deinterleave(np.moveaxis(z.reshape(L, T, n), 0, -2), S))
+    # one block, as pbicm_transmit and pbicm_receive pass it
+    np.testing.assert_array_equal(_interleaved_labels(B[0], S[0]), bits_to_int(interleave(B[0], S[0]).T))
+    np.testing.assert_array_equal(_deinterleaved_llrs(z[:, :n], S[0]), deinterleave(z[:, :n], S[0]))
+
+
 def test_dither_involution():
     rng = np.random.default_rng(0)
     b = rng.integers(0, 2, size=(3, 9)).astype(np.uint8)
@@ -207,6 +226,18 @@ def test_ml_decode_batch_matches_per_row(code, shape, zero_rows):
     np.testing.assert_array_equal(dec.ravel(), [np.argmax(signs @ z) for z in rows])
     # an all-zero row ties every codeword: the lowest message index wins
     assert not dec.ravel()[list(zero_rows)].any()
+
+
+def test_small_codes_get_the_float64_decisions():
+    # codes of at most _FLOAT64_MAX_M codewords skip the float32 certificate;
+    # near ties, exact ties and LLRs that are not finite still decide as float64 scores do
+    code = hamming74()
+    assert code.M <= _FLOAT64_MAX_M < 64
+    Z = make_rng(11).normal(size=(3000, 7))
+    Z[:10] = 0.0
+    Z[10:20] = 1e-12 * Z[10:20] + (1.0 - 2.0 * code.codebook[3])
+    Z[20, 2], Z[21, 4], Z[22] = np.nan, np.inf, -np.inf
+    np.testing.assert_array_equal(_ml_decode_batch(code, Z), _float64_decisions(code, Z))
 
 
 def test_ml_decode_batch_rejects_wrong_blocklength():
@@ -498,9 +529,14 @@ def _pinned_dmc():
              "bit_errors": [5269, 5331, 4975, 5170, 5167, 5246], "wbar_errors": 2743,
              "message_bits": 4},
         ),
+        (  # PSK8 is one 2-D axis: its LLRs come from the whole-plane demapper
+            hamming74(), "PSK8", Awgn(Snr(8.0).n0), 6000, 5,
+            {"block_errors": 362, "level_errors": [125, 114, 127], "bit_errors": [230, 208, 217],
+             "wbar_errors": 123, "message_bits": 4},
+        ),
     ],
     ids=["qpsk-awgn-hamming", "qam16-rayleigh-rep5", "qpsk-dmc4x5-hamming",
-         "qpsk-awgn-random4096", "qam64-awgn-hamming"],
+         "qpsk-awgn-random4096", "qam64-awgn-hamming", "psk8-awgn-hamming"],
 )
 def test_simulate_counts_pinned(code, kind, channel, trials, seed, counts):
     # exact counters pin the generator draw order and the decoder's decisions,

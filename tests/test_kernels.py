@@ -46,6 +46,65 @@ def test_log_mean_of_finite_input_is_the_shifted_formula_bit_for_bit(axis):
     np.testing.assert_array_equal(kernels.log_mean(a, axis), want)
 
 
+def _per_set_log_mean(log_rows, sets):
+    """The sub-channel law summed one set at a time, each shifted by its own peak."""
+    return np.stack([kernels.log_mean(log_rows[sets[s]], 1) for s in range(sets.shape[0])])
+
+
+@pytest.mark.parametrize("n0", [1.0, 1e-2, 1e-4, 1e-8])
+def test_log_subchannel_matches_per_set_log_mean_to_rounding(n0):
+    (axis,) = make_constellation("PSK8").axes
+    y, _ = _random_outputs(2000, seed=6)
+    rows = kernels.log_densities(np.stack([y.real, y.imag], axis=1), None, axis.points, n0)
+    sets = label_sets(axis.L)
+    want = _per_set_log_mean(rows, sets)
+    np.testing.assert_allclose(kernels.log_subchannel(rows, sets), want, rtol=1e-14, atol=1e-12)
+
+
+def test_log_subchannel_of_single_label_sets_is_the_rows_bit_for_bit():
+    # a 2-point axis (BPSK, each QPSK axis) or a binary-input Dmc: each set is one label
+    rows = make_rng(7).normal(scale=1e4, size=(2, 500))
+    rows[1, :7] = -np.inf
+    got = kernels.log_subchannel(rows, label_sets(1))
+    np.testing.assert_array_equal(got, _per_set_log_mean(rows, label_sets(1)))
+    np.testing.assert_array_equal(got, rows[None])
+
+
+def test_log_subchannel_falls_back_to_per_set_log_mean_where_a_set_underflows():
+    # labels 0..3 at -3, -1, 1, 3 with n0 = 1e-3: log densities are -1000 (y - x)^2
+    # nats.  At y = 0 every set is within 1e3 nats of the output's peak.  At y = -1
+    # the sets without label 1 ({2, 3} and {0, 2}) peak 4e3 nats below it, and at
+    # y = 40 those without label 3 ({0, 1} and {0, 2}) 1.5e5 nats below: past
+    # the floor (2^-900 of the peak), where one shared shift would lose them
+    points = np.array([[-3.0], [-1.0], [1.0], [3.0]])
+    sets = label_sets(2)
+    rows = kernels.log_densities(np.array([[0.0], [-1.0], [40.0]]), None, points, 1e-3)
+    got, want = kernels.log_subchannel(rows, sets), _per_set_log_mean(rows, sets)
+    far = want - rows.max(axis=0) < np.log(kernels._SHARED_SHIFT_FLOOR)
+    expected = np.zeros_like(far)
+    expected[[0, 1], [1, 0], 1] = True
+    expected[[0, 1], [0, 0], 2] = True
+    np.testing.assert_array_equal(far, expected)
+    assert np.isfinite(got).all()
+    np.testing.assert_array_equal(got[far], want[far])
+    np.testing.assert_allclose(got[~far], want[~far], rtol=1e-14)
+
+
+def test_log_subchannel_keeps_outputs_no_label_produces_at_minus_infinity():
+    # Dmc log rows by label: output 0 no label produces, output 1 only labels
+    # 0b00 and 0b01 (so a first bit of 1 cannot produce it), output 2 every label
+    matrix = np.array([[0.0, 0.5, 0.5], [0.0, 0.25, 0.75], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    sets = label_sets(2)
+    with np.errstate(divide="ignore"):
+        rows = np.log(matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.log_subchannel(rows, sets)
+    assert (got[:, :, 0] == -np.inf).all()
+    assert got[0, 1, 1] == -np.inf and np.isfinite(got[[0, 1, 1], [0, 0, 1], 1]).all()
+    np.testing.assert_allclose(got, _per_set_log_mean(rows, sets), rtol=1e-15)
+
+
 def test_e0_integral_handles_minus_infinity():
     # zero-probability outputs appear as -inf log densities; they must still
     # produce a finite, correct sum
