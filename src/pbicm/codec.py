@@ -449,11 +449,7 @@ class SimulationResult:
     counts: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        obj = dict(self.__dict__)
-        obj["pe_overall_ci"] = list(self.pe_overall_ci)
-        obj["pe_per_level_ci"] = [list(c) for c in self.pe_per_level_ci]
-        obj["pe_wbar_direct_ci"] = list(self.pe_wbar_direct_ci)
-        return json.dumps(obj, indent=2)
+        return json.dumps(self.__dict__, indent=2)  # tuples are written as arrays
 
 
 def _pipeline(cfg: PbicmSimConfig, t: int, rng: np.random.Generator, dither=True, zero_other_levels=False):
@@ -475,7 +471,8 @@ def _pipeline(cfg: PbicmSimConfig, t: int, rng: np.random.Generator, dither=True
     return msgs, cw, _receive_llrs(base, cons, _send(base, cons, cw, d, s, rng), d, s)
 
 
-def _simulate_chunk(cfg: PbicmSimConfig, t: int, rng: np.random.Generator):
+def _simulate_chunk(cfg: PbicmSimConfig, t: int, rng: np.random.Generator) -> np.ndarray:
+    """Error counts of t trials: block errors, L level errors, L bit errors, then W-bar block errors."""
     code = cfg.code
     msgs, _, z = _pipeline(cfg, t, rng)
     dec = _ml_decode_batch(code, z)  # (t, L)
@@ -486,12 +483,7 @@ def _simulate_chunk(cfg: PbicmSimConfig, t: int, rng: np.random.Generator):
     # Direct synthesis of the randomized binary channel, same code.
     msgs_w = rng.integers(0, code.M, size=t)
     dec_w = _ml_decode_batch(code, _direct_llrs(cfg.channel, cfg.cons, code.codebook[msgs_w], rng))
-    return (
-        int(lvl_err.any(axis=1).sum()),
-        lvl_err.sum(axis=0).astype(np.int64),
-        bit_err.astype(np.int64),
-        int((dec_w != msgs_w).sum()),
-    )
+    return np.concatenate([[lvl_err.any(axis=1).sum()], lvl_err.sum(axis=0), bit_err, [(dec_w != msgs_w).sum()]])
 
 
 def simulate(cfg: PbicmSimConfig) -> SimulationResult:
@@ -501,44 +493,32 @@ def simulate(cfg: PbicmSimConfig) -> SimulationResult:
     chunks, each drawing from its own counter-based substream of the seed,
     so results are identical regardless of how chunks are executed.
     """
-    code, cons = cfg.code, cfg.cons
-    L = cons.L
+    code, L, T = cfg.code, cfg.cons.L, cfg.trials
     # The decoder's score block bounds memory; the chunk size only fixes
     # which substream each trial draws from.  The formula is kept so that
     # results for M > 512 codes do not change.
     chunk = max(1, min(_CHUNK, (1 << 22) // code.M))
-    n_block = 0
-    n_lvl = np.zeros(L, dtype=np.int64)
-    n_bit = np.zeros(L, dtype=np.int64)
-    n_wbar = 0
-    done = 0
-    idx = 0
-    while done < cfg.trials:
-        t = min(chunk, cfg.trials - done)
-        blk, lvl, bit, wbar = _simulate_chunk(cfg, t, make_rng(cfg.seed, idx))
-        n_block += blk
-        n_lvl += lvl
-        n_bit += bit
-        n_wbar += wbar
-        done += t
-        idx += 1
-    T = cfg.trials
+    counts = sum(
+        _simulate_chunk(cfg, min(chunk, T - start), make_rng(cfg.seed, idx))
+        for idx, start in enumerate(range(0, T, chunk))
+    ).tolist()
+    n_block, n_lvl, n_bit, n_wbar = counts[0], counts[1 : L + 1], counts[L + 1 : -1], counts[-1]
     kb = code.message_bits
     return SimulationResult(
         trials=T,
         seed=cfg.seed,
         pe_overall=n_block / T,
         pe_overall_ci=wilson_ci(n_block, T),
-        pe_per_level=[c / T for c in n_lvl.tolist()],
-        pe_per_level_ci=[wilson_ci(c, T) for c in n_lvl.tolist()],
+        pe_per_level=[c / T for c in n_lvl],
+        pe_per_level_ci=[wilson_ci(c, T) for c in n_lvl],
         pe_wbar_direct=n_wbar / T,
         pe_wbar_direct_ci=wilson_ci(n_wbar, T),
-        ber_overall=int(n_bit.sum()) / (L * T * kb),
-        ber_per_level=[c / (T * kb) for c in n_bit.tolist()],
+        ber_overall=sum(n_bit) / (L * T * kb),
+        ber_per_level=[c / (T * kb) for c in n_bit],
         counts={
             "block_errors": n_block,
-            "level_errors": n_lvl.tolist(),
-            "bit_errors": n_bit.tolist(),
+            "level_errors": n_lvl,
+            "bit_errors": n_bit,
             "wbar_errors": n_wbar,
             "message_bits": kb,
         },
@@ -586,29 +566,21 @@ def equivalence_test(
     if cfg.trials * cfg.code.n < 10_000:
         raise ValueError("insufficient samples (< 10^4): increase trials")
     _, cw, z = _pipeline(cfg, cfg.trials, make_rng(cfg.seed, 900_001), dither, zero_other_levels)
-    z_pipe, b_pipe = z[:, 0, :].ravel(), cw[:, 0, :].ravel()  # level 1 and the bits it sent
     rng = make_rng(cfg.seed, 900_002)
     b = rng.integers(0, 2, size=(cfg.trials, cfg.code.n)).astype(np.uint8)
-    z_dir, b_dir = _direct_llrs(cfg.channel, cfg.cons, b, rng).ravel(), b.ravel()
-    stats_out = []
-    counts = []
-    for bit in (0, 1):
-        a = z_pipe[b_pipe == bit]
-        c = z_dir[b_dir == bit]
-        counts.append(min(a.size, c.size))
-        if isinstance(cfg.channel, Dmc):
-            stat, p = _two_sample_discrete(a, c)
-            method = "chi2"
-        else:
-            res = stats.ks_2samp(a, c, method="asymp")
-            stat, p = float(res.statistic), float(res.pvalue)
-            method = "ks"
-        stats_out.append((stat, p))
+    z_dir = _direct_llrs(cfg.channel, cfg.cons, b, rng)
+    # per conditioning bit: the level-1 LLRs of the pipeline, then those of the synthesized channel
+    pairs = [(z[:, 0][cw[:, 0] == bit], z_dir[b == bit]) for bit in (0, 1)]
+    if isinstance(cfg.channel, Dmc):
+        method, test = "chi2", _two_sample_discrete
+    else:
+        method, test = "ks", lambda a, c: tuple(map(float, stats.ks_2samp(a, c, method="asymp")[:2]))
+    stats_out = [test(a, c) for a, c in pairs]
     worst = min(stats_out, key=lambda sp: sp[1])
     return EquivalenceReport(
         method=method,
         statistic=worst[0],
         p_value=worst[1],
         p_per_bit=(stats_out[0][1], stats_out[1][1]),
-        samples_per_bit=(counts[0], counts[1]),
+        samples_per_bit=tuple(min(a.size, c.size) for a, c in pairs),
     )

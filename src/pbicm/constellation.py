@@ -23,9 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-KINDS = ("BPSK", "QPSK", "PSK8", "QAM16", "QAM64")
-
-
 def _gray(k: np.ndarray) -> np.ndarray:
     return k ^ (k >> 1)
 
@@ -188,38 +185,33 @@ def _psk(L: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, labels
 
 
+_BUILDERS = {  # kind -> (points, labels); the number of points fixes L
+    "BPSK": lambda: (np.array([1.0 + 0j, -1.0 + 0j]), np.array([0, 1])),
+    "QPSK": lambda: _qam(1),
+    "PSK8": lambda: _psk(3),
+    "QAM16": lambda: _qam(2),
+    "QAM64": lambda: _qam(3),
+}
+KINDS = tuple(_BUILDERS)
+
+
 def make_constellation(kind: str, labeling: str = "Gray") -> Constellation:
     """Build one of the supported Gray-labeled unit-energy constellations.
 
     Parameters
     ----------
     kind : str
-        ``"BPSK"``, ``"QPSK"``, ``"PSK8"``, ``"QAM16"`` or ``"QAM64"``.
+        One of ``KINDS``.
     labeling : str
         Only ``"Gray"`` is supported (reflected-binary: per axis for QAM,
         around the ring for PSK).
     """
     if labeling != "Gray":
         raise ValueError(f"unsupported labeling: {labeling!r}")
-    if kind == "BPSK":
-        pts = np.array([1.0 + 0j, -1.0 + 0j])
-        labels = np.array([0, 1], dtype=np.int64)
-        L = 1
-    elif kind == "QPSK":
-        pts, labels = _qam(1)
-        L = 2
-    elif kind == "QAM16":
-        pts, labels = _qam(2)
-        L = 4
-    elif kind == "QAM64":
-        pts, labels = _qam(3)
-        L = 6
-    elif kind == "PSK8":
-        pts, labels = _psk(3)
-        L = 3
-    else:
+    if kind not in KINDS:  # a tuple test: an unhashable kind is refused like any other
         raise ValueError(f"unsupported constellation kind: {kind!r}")
-    return Constellation(kind, L, pts, labels)
+    pts, labels = _BUILDERS[kind]()
+    return Constellation(kind, len(pts).bit_length() - 1, pts, labels)
 
 
 def bits_to_int(bits: np.ndarray) -> np.ndarray:

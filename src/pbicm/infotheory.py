@@ -20,6 +20,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +59,15 @@ _E0_ALIASES = {
     "wachsmann": "WachsmannAveraged",
     "unconstrained": "Unconstrained",
 }
-CURVE_KINDS = (
-    "RandomCoding",
-    "SpherePacking",
-    "PbicmRandomCoding",
-    "PbicmNormalized",
-    "UnconstrainedRandomCoding",
-)
+# exponent curve kind -> (base, cons) -> the exponent at one rate, as ``exponent_curve`` tabulates it
+_CURVES = {
+    "RandomCoding": lambda b, c: partial(random_coding_exponent, e0_evaluator(b, c, "WbarCombined")),
+    "SpherePacking": lambda b, c: partial(sphere_packing_exponent, e0_evaluator(b, c, "WbarCombined")),
+    "PbicmRandomCoding": lambda b, c: partial(pbicm_exponent, b, c),
+    "PbicmNormalized": lambda b, c: partial(pbicm_exponent, b, c, normalized=True),
+    "UnconstrainedRandomCoding": lambda b, c: partial(random_coding_exponent, e0_evaluator(b, c, "Unconstrained")),
+}
+CURVE_KINDS = tuple(_CURVES)
 
 
 @functools.lru_cache(maxsize=8)
@@ -270,7 +273,7 @@ def rate_bounds(base: ChannelModel, cons: Constellation, n: int, pe: float) -> t
     if not 0 < pe < 1:
         raise ValueError("target error probability must be in (0, 1)")
     rep = dispersion_report(base, cons)
-    scale = math.sqrt(rep.v_pbicm / n)
+    scale = math.sqrt(max(rep.v_pbicm, 0.0) / n)  # a variance; m2 - m1^2 rounds to about -1e-12 at the SNR cap
     lower = rep.c_pbicm - scale * qinv(pe / cons.L)
     upper = rep.c_pbicm - scale * qinv(pe)
     return lower, upper
@@ -341,19 +344,7 @@ def exponent_curve(
     kinds, bits per binary-channel use for RandomCoding/SpherePacking.
     """
     rates = np.asarray(rates, dtype=float)
-    if kind == "RandomCoding":
-        ev = e0_evaluator(base, cons, "WbarCombined")
-        vals = [random_coding_exponent(ev, r) for r in rates]
-    elif kind == "SpherePacking":
-        ev = e0_evaluator(base, cons, "WbarCombined")
-        vals = [sphere_packing_exponent(ev, r) for r in rates]
-    elif kind == "PbicmRandomCoding":
-        vals = [pbicm_exponent(base, cons, r) for r in rates]
-    elif kind == "PbicmNormalized":
-        vals = [pbicm_exponent(base, cons, r, normalized=True) for r in rates]
-    elif kind == "UnconstrainedRandomCoding":
-        ev = e0_evaluator(base, cons, "Unconstrained")
-        vals = [random_coding_exponent(ev, r) for r in rates]
-    else:
+    if kind not in CURVE_KINDS:
         raise ValueError(f"kind must be one of {CURVE_KINDS}")
-    return ExponentCurve(kind, rates, np.array(vals))
+    at = _CURVES[kind](base, cons)
+    return ExponentCurve(kind, rates, np.array([at(r) for r in rates]))

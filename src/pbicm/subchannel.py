@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Awgn, ChannelModel, Dmc, RayleighCsi
+from .channel import ChannelModel, Dmc, RayleighCsi, density
 from .constellation import Constellation
 from . import kernels
 
@@ -27,13 +27,14 @@ LLR_MAX = 700.0
 
 @lru_cache(maxsize=None)
 def label_sets(L: int) -> np.ndarray:
-    """``label_sets(L)[i-1, b]``: label integers whose bit i equals b."""
+    """``label_sets(L)[i-1, b]``: label integers whose bit i equals b (read-only)."""
     lab = np.arange(2**L)
     out = np.empty((L, 2, 2 ** (L - 1)), dtype=np.int64)
     for i in range(L):
         bit = (lab >> (L - 1 - i)) & 1
         out[i, 0] = lab[bit == 0]
         out[i, 1] = lab[bit == 1]
+    out.setflags(write=False)  # cached and shared: a write would change every later LLR
     return out
 
 
@@ -90,22 +91,13 @@ class SubchannelView:
 
 
 def subchannel_prob(view: SubchannelView, y, b: int) -> float:
-    """W_i(y|b): equiprobable average of the base law over bit completions."""
+    """W_i(y|b): equiprobable average of the base law ``channel.density`` over bit completions."""
     if b not in (0, 1):
         raise ValueError("conditioning bit must be 0 or 1")
     base, cons, i = view.base, view.cons, view.index
     labs = label_sets(cons.L)[i - 1, b]  # every completion of bit i = b
-    rows, syms = cons.labels[labs], cons.symbols[labs]
-    if isinstance(base, Dmc):
-        if not 0 <= int(y) < base.ny:
-            raise ValueError("output outside channel support")
-        return float(base.matrix[rows, int(y)].mean())
-    if isinstance(base, Awgn):
-        d2 = np.abs(y - syms) ** 2
-    else:
-        yv, h = y
-        d2 = np.abs(yv - h * syms) ** 2
-    return float(np.exp(-d2 / base.n0).mean() / (np.pi * base.n0))
+    inputs = cons.labels[labs] if isinstance(base, Dmc) else cons.symbols[labs]  # a Dmc input is a matrix row
+    return float(np.mean([density(base, y, x) for x in inputs]))
 
 
 def llr_bit(base: ChannelModel, cons: Constellation, i: int, y) -> float:

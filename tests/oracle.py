@@ -1,4 +1,4 @@
-"""Reference values for BPSK, QPSK and QAM16 on AWGN and Rayleigh, by adaptive quadrature.
+"""Reference values for BPSK, QPSK and QAM16 on AWGN and Rayleigh, and PSK8 on AWGN, by adaptive quadrature.
 
 Test-only and independent of the library's rules: every integral here is a
 ``scipy.integrate.quad`` or ``quad_vec`` call (the adaptive Gauss-Kronrod
@@ -35,6 +35,13 @@ maps each label to the label of the opposite level without changing any
 integrand, so the expectation over labels runs over the two negative levels
 only.  The outer ``quad_vec`` over u = ln|h|^2 averages the per-axis values,
 with the full-input 2**-E0 squared inside it (the two axes share h).
+
+Gray PSK8 does not split into axes, so ``psk8_reference`` integrates over
+the plane in polar coordinates around the point sent: an adaptive
+``quad_vec`` over the radius of the noise and, inside it, a periodic
+trapezoid over its angle (exponentially convergent for a smooth periodic
+integrand; Trefethen & Weideman, SIAM Review 2014), whose point count
+doubles until two counts agree.
 """
 from __future__ import annotations
 
@@ -162,6 +169,84 @@ def _qam16(n0: float, fading: bool) -> dict:
     for n, rho in enumerate(RHOS):
         out["e0_wbar"][rho] = -math.log2(0.5 * (e[5 + 3 * n] + e[6 + 3 * n]))
         out["e0_unconstrained"][rho] = -math.log2(e[11 + n])
+    return out
+
+
+# Gray PSK8: the label k ^ (k >> 1) sits at ring position k, bits MSB-first
+_PSK8_POINTS = np.empty(8, dtype=complex)
+_PSK8_POINTS[[k ^ (k >> 1) for k in range(8)]] = np.exp(2j * np.pi * np.arange(8) / 8)
+_PSK8_BITS = (np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1  # (label, bit)
+# _PSK8_SETS[s, b]: the labels whose bit s is b
+_PSK8_SETS = np.array([[np.flatnonzero(_PSK8_BITS[:, s] == b) for b in (0, 1)] for s in range(3)])
+PSK8_RHOS = (0.5, 1.0, 10.0)
+
+
+def _lse(a: np.ndarray) -> np.ndarray:
+    """ln(sum(e^a)) over the last axis without overflow or underflow."""
+    top = a.max(axis=-1)
+    return top + np.log(np.exp(a - top[..., None]).sum(axis=-1))
+
+
+def _psk8_ring(r: float, theta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Integrands at the outputs a_j + r e^(i theta) given label j sent, averaged over j and theta.
+
+    ``a`` holds the points in units of the per-coordinate noise deviation.
+    Order: i of the label, the sum of i over the three bits, then for each
+    rho in PSK8_RHOS the full-input E0 ratio and the mean over bits of the
+    bit E0 ratios.  Each carries the radial weight r e^(-r^2 / 2) of the
+    noise; the E0 ratios are the integrand over the density of the label
+    sent, e^(-r^2 / 2) up to the constant every log density shares.
+    """
+    u = a[:, None] + r * np.exp(1j * theta)  # (j, angle)
+    lk = -0.5 * np.abs(u[..., None] - a) ** 2  # (j, angle, k): log densities up to a common constant
+    lj = -0.5 * r * r  # the label sent
+    log_w = math.log(r) + lj
+    lbar = _lse(lk) - math.log(8.0)
+    lw = _lse(lk[..., _PSK8_SETS]) - LN4  # (j, angle, bit, b): log W_bit(y | b)
+    lw_sent = np.take_along_axis(lw, np.broadcast_to(_PSK8_BITS[:, None, :, None], (*lw.shape[:3], 1)), -1)[..., 0]
+    out = [math.exp(log_w) * (lj - lbar) / LN2, math.exp(log_w) * ((lw_sent - lbar[..., None]) / LN2).sum(axis=-1)]
+    for rho in PSK8_RHOS:
+        q = 1.0 / (1.0 + rho)
+        out.append(np.exp((1.0 + rho) * (_lse(q * lk) - math.log(8.0)) - lj + log_w))
+        out.append(np.exp((1.0 + rho) * (_lse(q * lw) - LN2) - lj + log_w).mean(axis=-1))
+    return np.array([v.mean() for v in out])
+
+
+def _psk8_angles(r: float, a: np.ndarray) -> np.ndarray:
+    """Periodic trapezoid of ``_psk8_ring`` in the angle: the point count doubles until two counts agree to 1e-12."""
+    n = 128
+    mean = _psk8_ring(r, 2.0 * np.pi * np.arange(n) / n, a)
+    while True:
+        finer = 0.5 * (mean + _psk8_ring(r, 2.0 * np.pi * (np.arange(n) + 0.5) / n, a))  # the n new midpoints
+        if np.max(np.abs(finer - mean)) <= 1e-12:
+            return finer
+        if n >= 1 << 16:
+            raise ArithmeticError(f"angle trapezoid at r = {r} does not settle")
+        mean, n = finer, 2 * n
+
+
+def psk8_reference(n0: float) -> dict:
+    """Gray PSK8 on AWGN: ``c_cm``, ``c_pbicm`` and ``e0_wbar``/``e0_unconstrained``, dicts from rho in PSK8_RHOS
+    to E0, bits.
+
+    Polar coordinates around the label sent: the noise is r e^(i theta) in
+    units of its per-coordinate deviation sigma = sqrt(n0 / 2), with density
+    r e^(-r^2 / 2) / (2 pi).  An adaptive ``quad_vec`` runs over the radius
+    and a periodic trapezoid over the angle, and the values are averaged
+    over the 8 labels.  The radius reaches 2 / sigma + 12, past the opposite
+    point: at large rho the E0 integrand sits between the points, not on the
+    label sent.
+    """
+    sigma = math.sqrt(n0 / 2.0)
+    a = _PSK8_POINTS / sigma
+    # the other points sit at these distances from any point; the integrands have bumps there
+    bumps = tuple(2.0 * math.sin(math.pi * k / 8) / sigma for k in range(1, 5))
+    e = quad_vec(lambda r: _psk8_angles(r, a), 0.0, 2.0 / sigma + 12.0, points=bumps,
+                 epsabs=1e-10, epsrel=1e-9, norm="max")[0]
+    out = {"c_cm": e[0], "c_pbicm": e[1], "e0_wbar": {}, "e0_unconstrained": {}}
+    for n, rho in enumerate(PSK8_RHOS):
+        out["e0_unconstrained"][rho] = -math.log2(e[2 + 2 * n])
+        out["e0_wbar"][rho] = -math.log2(e[3 + 2 * n])
     return out
 
 

@@ -183,6 +183,15 @@ def test_dispersion_json(tmp_path):
     assert rep["c_pbicm"] == pytest.approx(sum(rep["c_subchannels"]), rel=1e-12)
 
 
+def test_ratebounds_at_the_snr_cap(tmp_path):
+    out = tmp_path / "rb.csv"
+    args = ["ratebounds", "--constellation", "QPSK", "--channel", "awgn", "--snr-db", "100", "--out", str(out)]
+    assert main(args) == 0
+    _, rows = run_csv(out)
+    # QPSK carries 2 bits, and the dispersion is 0 up to rounding
+    assert rows and all(float(v) == pytest.approx(2.0, abs=1e-6) for row in rows for v in row[2:])
+
+
 def test_ratebounds_grid(tmp_path):
     out = tmp_path / "rb.csv"
     main(

@@ -415,6 +415,18 @@ def test_dispersion_report_json():
     assert len(d["c_subchannels"]) == 2
 
 
+@pytest.mark.parametrize("cons_name", ["QPSK", "QAM16", "PSK8"])
+def test_rate_bounds_at_the_snr_cap(cons_name):
+    # there m2 - m1^2 of two values near 1 rounds to about -1e-12, and a
+    # variance is never negative: the bracket closes on the capacity
+    base, cons = Awgn(Snr(100.0).n0), make_constellation(cons_name)
+    rep = dispersion_report(base, cons)
+    assert abs(rep.v_pbicm) < 1e-10
+    lower, upper = rate_bounds(base, cons, 1000, 1e-3)
+    assert lower <= upper
+    assert lower == pytest.approx(rep.c_pbicm, abs=1e-6) and upper == pytest.approx(rep.c_pbicm, abs=1e-6)
+
+
 def test_rate_bounds_bracket_and_limits():
     ch = two_bsc_product(0.1, 0.25)
     c = capacity_pbicm(ch, QPSK)
@@ -612,6 +624,21 @@ def test_quadrature_matches_adaptive_oracle_or_raises(cons_name, fading, snr_db)
         ev = e0_evaluator(base, cons, kind)
         for rho, want in ref[key].items():
             assert ev.e0(rho) == pytest.approx(want, abs=tol), (kind, rho)
+
+
+@pytest.mark.parametrize("snr_db", [5.0, 15.0])
+def test_psk8_matches_polar_oracle(snr_db):
+    # PSK8 is one 2-D axis, checked against a rule its lattice does not
+    # share: polar coordinates around the point sent
+    n0 = Snr(snr_db).n0
+    base, cons = Awgn(n0), make_constellation("PSK8")
+    ref = oracle.psk8_reference(n0)
+    assert capacity_cm(base, cons) == pytest.approx(ref["c_cm"], abs=1e-6)
+    assert capacity_pbicm(base, cons) == pytest.approx(ref["c_pbicm"], abs=1e-6)
+    for kind, key in (("WbarCombined", "e0_wbar"), ("Unconstrained", "e0_unconstrained")):
+        ev = e0_evaluator(base, cons, kind)
+        for rho, want in ref[key].items():
+            assert ev.e0(rho) == pytest.approx(want, abs=1e-6), (kind, rho)
 
 
 LARGE_RHOS = (3.0, 10.0, 30.0, 100.0)

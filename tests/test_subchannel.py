@@ -32,6 +32,15 @@ def test_label_sets_partition():
             assert all(((v >> (2 - i)) & 1) == b for v in s[i, b])
 
 
+def test_label_sets_are_read_only():
+    # the cached array is shared by every demapper: a write would change every later LLR
+    y = np.array([0.3 + 0.1j, -0.2 - 0.7j])
+    before = llr_matrix(Awgn(0.5), QPSK, y)
+    with pytest.raises(ValueError):
+        label_sets(1)[0, 0, 0] = 1
+    np.testing.assert_array_equal(llr_matrix(Awgn(0.5), QPSK, y), before)
+
+
 def test_single_bit_constellation_reduces_to_base():
     ch = Dmc(random_stochastic(np.random.default_rng(0), 2, 3))
     v = SubchannelView(ch, BPSK, 1)
