@@ -40,9 +40,8 @@ density there into the sub-channel laws.
 The axes are combined inside each channel state: a sub-channel's moments and
 E0 come from its axis, by the same sums as the axis's full input (a
 sub-channel is a two-row channel, W_s(y|0) and W_s(y|1)); the full-input
-information density is the sum of the axes' (E[i] adds, and E[i^2] =
-sum_a E[i_a^2] + 2 sum_{a<b} E[i_a] E[i_b]), and its 2**-E0 is the product
-of the axes' Gallager integrals.
+information density is the sum of the axes', so its E[i] adds across the
+axes, and its 2**-E0 is the product of the axes' Gallager integrals.
 
 The moment pass (``moment_table``) reads the walk at R(0) in one gate loop
 that starts at ``LATTICE_STEP``/``GL_NODES`` and halves the step while
@@ -217,48 +216,42 @@ def _moment_pass(base: ChannelModel, cons: Constellation, step: float, gl: int):
 
     On an axis, E[i] of a channel with rows W_r is sum_k w_k sum_r p_r
     W_r(y_k) i_r(y_k), with i_r = log2(W_r / pbar): the rows are the two
-    laws of each axis bit (p_r = 1/2) and the axis labels (p_r = 1/ma).
-    Within a state the full-input density is the sum of the axes'
-    densities.
+    laws of each axis bit (p_r = 1/2), whose E[i^2] the pass also takes,
+    and the axis labels (p_r = 1/ma).  The full input's E[i] is the sum of
+    the axes'.
     """
     scale, w = _fading_nodes(base, gl)
-    F = len(scale)
-    m1, m2, cm = np.zeros(cons.L), np.zeros(cons.L), np.zeros(2)
-    means, cross = [], np.zeros(F)  # per state: E[i_a] of each axis so far, sum_{a<b} E[i_a] E[i_b]
+    m1, m2, cm = np.zeros(cons.L), np.zeros(cons.L), np.zeros(1)
     for axis in _axes(base, cons):
         La = axis.L
-        # per state: E[i], E[i^2] of each axis bit, then of the axis label
-        mom = np.empty((F, 2, La + 1))
+        mom = np.empty((len(scale), 2 * La + 1))  # per state: E[i], E[i^2] of each axis bit; E[i] of the label
         for st, starts, cell, log_rows, log_sub in _outputs(base, cons, axis, scale, step, _radius(cons.m, 0.0)):
             rows = np.concatenate([log_sub.reshape(2 * La, -1), log_rows])
             i = rows - kernels.log_mean(log_rows, 0)
             i /= LN2
             p = np.exp(rows)
             np.copyto(i, 0.0, where=p == 0.0)  # a Dmc row that cannot produce y adds nothing (W log W -> 0)
-            for n in range(2):
-                p *= i  # W i, then W i^2
-                law = np.concatenate([0.5 * (p[0 : 2 * La : 2] + p[1 : 2 * La : 2]), p[2 * La :].mean(0)[None]])
-                mom[st, n] = cell * np.add.reduceat(law, starts, axis=1).T
-        tot = (w @ mom.reshape(F, -1)).reshape(2, La + 1)
-        m1[list(axis.bits)], m2[list(axis.bits)] = tot[:, :La]
-        cm += tot[:, La]
-        e = mom[:, 0, La]
-        for e_b in means:
-            cross += e * e_b
-        means.append(e)
-    cm[1] += 2.0 * (w @ cross)
+            p *= i  # W i
+            bit = p[: 2 * La]
+            e1 = 0.5 * (bit[0::2] + bit[1::2])
+            bit *= i[: 2 * La]  # W i^2 of the bit rows
+            law = np.concatenate([e1, 0.5 * (bit[0::2] + bit[1::2]), p[2 * La :].mean(0)[None]])
+            mom[st] = cell * np.add.reduceat(law, starts, axis=1).T
+        tot = w @ mom
+        m1[list(axis.bits)], m2[list(axis.bits)] = tot[:La], tot[La : 2 * La]
+        cm += tot[2 * La]
     return m1, m2, cm
 
 
-_MOMENT_NAMES = ("sub-channel capacities", "sub-channel second moments", "full-input moments")
+_MOMENT_NAMES = ("sub-channel capacities", "sub-channel second moments", "full-input capacity")
 
 
 def moment_table(base: ChannelModel, cons: Constellation):
-    """Sub-channel and full-input information moments, from one pass per resolution.
+    """Sub-channel information moments and the full-input capacity, from one pass per resolution.
 
     Returns ``(m1, m2, cm)`` where ``m1[s-1]`` is the sub-channel capacity
     C(W_s) in bits, ``m2[s-1]`` the second moment of its information
-    density, and ``cm = (E[i], E[i^2])`` for the full equiprobable input.
+    density, and ``cm = [E[i]]`` for the full equiprobable input.
     Continuous channels are gated by refinement: starting from
     ``LATTICE_STEP``/``GL_NODES``, the lattice step halves and the fading
     nodes double until two successive passes agree within
@@ -274,7 +267,7 @@ def moment_table(base: ChannelModel, cons: Constellation):
         for name, v in zip(_MOMENT_NAMES, fine):
             if not np.all(np.isfinite(v)):
                 # a finer rule cannot repair one that already yields NaN or inf
-                raise QuadratureConvergenceError(f"{name} are not finite at step={step:g}, gl={gl}")
+                raise QuadratureConvergenceError(f"not finite: {name} at step={step:g}, gl={gl}")
         if isinstance(base, Dmc):
             return fine  # exact: one pass
         if res is not None:

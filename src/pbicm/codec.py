@@ -99,13 +99,6 @@ class BinaryCode:
         signs.setflags(write=False)
         return signs
 
-    @cached_property
-    def signs_t(self) -> np.ndarray:
-        """``signs32_t`` in float64 (+-1 is exact in both), built on first use."""
-        signs = self.signs32_t.astype(np.float64)
-        signs.setflags(write=False)
-        return signs
-
 
 def repetition(n: int) -> BinaryCode:
     if n < 1:
@@ -217,6 +210,8 @@ def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
     LLR that is not finite) is rescored in float64, so the decisions, ties
     included, are those of float64 scores.  Codes of at most
     ``_FLOAT64_MAX_M`` codewords skip float32 and score every row in float64.
+    The float64 sign matrix is ``signs32_t`` converted where it is needed,
+    and the code keeps none.
     """
     if Z.shape[-1] != code.n:
         raise ValueError(f"LLR rows have length {Z.shape[-1]}, but the code blocklength is {code.n}")
@@ -225,9 +220,10 @@ def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
     out = np.empty(R, dtype=np.intp)
     if code.M <= _FLOAT64_MAX_M:
         step = max(1, _SCORE_BLOCK // (8 * code.M))  # 1 MiB blocks: as fast as 8 MiB ones, and a lower peak RSS
+        signs = code.signs32_t.astype(np.float64)  # +-1 is exact in both
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(0, R, step):
-                (rows[k : k + step] @ code.signs_t).argmax(axis=-1, out=out[k : k + step])
+                (rows[k : k + step] @ signs).argmax(axis=-1, out=out[k : k + step])
         return out.reshape(Z.shape[:-1])
     buf = np.empty((min(step, R), code.M), dtype=np.float32)
     # Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1: a
@@ -257,7 +253,7 @@ def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
             size = np.abs(block) @ np.ones(code.n)  # as are row sums by GEMV
             unsure = np.flatnonzero(~(gap > 2 * (scale * size + tiny)) | (size > 2.0**127))
             if unsure.size:
-                best[unsure] = (block[unsure] @ code.signs_t).argmax(axis=-1)
+                best[unsure] = (block[unsure] @ code.signs32_t.astype(np.float64)).argmax(axis=-1)
     return out.reshape(Z.shape[:-1])
 
 

@@ -52,7 +52,14 @@ __all__ = [
     "QuadratureConvergenceError",
 ]
 
-E0_KINDS = ("Subchannel", "WbarCombined", "WachsmannAveraged", "Unconstrained")
+# E0 kind -> (ensemble, rho, s) -> E0(rho) in bits, from the ensemble's Gallager integrals
+_E0_VIEWS = {
+    "Subchannel": lambda ens, rho, s: -math.log2(ens.sub_integrals(rho)[s - 1]),
+    "WbarCombined": lambda ens, rho, s: -math.log2(ens.sub_integrals(rho).mean()),
+    "WachsmannAveraged": lambda ens, rho, s: float(np.mean(-np.log2(ens.sub_integrals(rho)))),
+    "Unconstrained": lambda ens, rho, s: -math.log2(ens.mary_integral(rho)),
+}
+E0_KINDS = tuple(_E0_VIEWS)
 _E0_ALIASES = {
     "subchannel": "Subchannel",
     "wbar": "WbarCombined",
@@ -138,14 +145,7 @@ class E0Evaluator:
         rho = float(rho)
         if not 0.0 <= rho <= RHO_MAX:
             raise ValueError(f"rho must be in [0, {RHO_MAX:g}]")
-        if self.kind == "Unconstrained":
-            return -math.log2(self._ens.mary_integral(rho))
-        ints = self._ens.sub_integrals(rho)
-        if self.kind == "Subchannel":
-            return -math.log2(ints[self.s - 1])
-        if self.kind == "WbarCombined":
-            return -math.log2(ints.mean())
-        return float(np.mean(-np.log2(ints)))  # WachsmannAveraged
+        return _E0_VIEWS[self.kind](self._ens, rho, self.s)
 
 
 def e0_evaluator(base: ChannelModel, cons: Constellation, kind: str, s: int | None = None) -> E0Evaluator:
@@ -171,6 +171,15 @@ def sphere_packing_exponent(ev: E0Evaluator, rate: float) -> float:
     return exponent_max(ev.e0, rate, sphere=True)
 
 
+# ``pbicm_exponent`` bound name -> the binary-channel exponent it takes
+_BOUNDS = {
+    "RandomCoding": random_coding_exponent,
+    "random_coding": random_coding_exponent,
+    "SpherePacking": sphere_packing_exponent,
+    "sphere_packing": sphere_packing_exponent,
+}
+
+
 def critical_rate(ev: E0Evaluator) -> float:
     """Rate below which the random-coding bound departs from sphere packing.
 
@@ -194,12 +203,7 @@ def pbicm_exponent(
     code symbol rather than per channel use).
     """
     ev = e0_evaluator(base, cons, "WbarCombined")
-    fn = {
-        "RandomCoding": random_coding_exponent,
-        "random_coding": random_coding_exponent,
-        "SpherePacking": sphere_packing_exponent,
-        "sphere_packing": sphere_packing_exponent,
-    }.get(bound)
+    fn = _BOUNDS.get(bound)
     if fn is None:
         raise ValueError("bound must be 'RandomCoding' or 'SpherePacking'")
     v = fn(ev, rate_total / cons.L)

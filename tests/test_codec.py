@@ -249,15 +249,18 @@ def test_ml_decode_batch_builds_one_read_only_sign_matrix_per_code():
     code = random_codebook(16, 64, 2)
     Z = make_rng(4).normal(size=(30, 16))
     first = _ml_decode_batch(code, Z)
-    assert "signs_t" not in vars(code)  # no row needed float64 scores, so that matrix was never built
     signs32 = code.signs32_t
     assert signs32.dtype == np.float32 and signs32.flags.c_contiguous and not signs32.flags.writeable
-    signs = code.signs_t
-    assert signs.shape == (16, 64) and not signs.flags.writeable
-    np.testing.assert_array_equal(signs, 1.0 - 2.0 * code.codebook.T)
-    np.testing.assert_array_equal(signs32, signs)
-    np.testing.assert_array_equal(_ml_decode_batch(code, Z[::-1]), first[::-1])
-    assert code.signs_t is signs and code.signs32_t is signs32  # the second decode reused them
+    assert signs32.shape == (16, 64)
+    np.testing.assert_array_equal(signs32, 1.0 - 2.0 * code.codebook.T)
+    Z[0] = 0.0  # a row that ties every codeword is rescored in float64 and decides for the first one
+    np.testing.assert_array_equal(_ml_decode_batch(code, Z[::-1]), np.r_[first[:0:-1], 0])
+    assert code.signs32_t is signs32  # the second decode reused it
+    # the rescoring's float64 sign matrix is not kept on the code
+    assert {k: v.dtype for k, v in vars(code).items() if isinstance(v, np.ndarray)} == {
+        "codebook": np.uint8,
+        "signs32_t": np.float32,
+    }
 
 
 def test_ml_decode_batch_memory_bounded():

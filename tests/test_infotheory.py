@@ -600,6 +600,29 @@ def test_moment_quadrature_stops_at_first_non_finite_pass(monkeypatch):
     assert passes == [(0.5, 64)]
 
 
+@pytest.mark.parametrize(
+    "cons_name, channel, snr_db",
+    [("QPSK", Awgn, 10.0), ("QAM16", Awgn, 15.0), ("QAM16", RayleighCsi, 5.0), ("QAM64", RayleighCsi, 10.0)],
+)
+def test_moment_table_takes_two_passes(monkeypatch, cons_name, channel, snr_db):
+    # two passes suffice at these points when the gate compares only the
+    # moments callers read; a full-input second moment would need a third
+    base, cons = channel(Snr(snr_db).n0), make_constellation(cons_name)
+    passes = []
+    real_pass = _ensemble._moment_pass
+
+    def counted_pass(*args):
+        passes.append(args[2:])
+        return real_pass(*args)
+
+    monkeypatch.setattr(_ensemble, "_moment_pass", counted_pass)
+    got = moment_table(base, cons)
+    step, gl = _ensemble.LATTICE_STEP, _ensemble.GL_NODES
+    assert passes == [(step, gl), (step / 2, 2 * gl)]
+    for v, want in zip(got, real_pass(base, cons, step / 4, 4 * gl), strict=True):
+        np.testing.assert_allclose(v, want, rtol=0, atol=1e-6)
+
+
 @pytest.mark.parametrize("snr_db", [-30.0, -10.0, 0.0, 10.0, 20.0, 30.0, 50.0, 100.0])
 @pytest.mark.parametrize("fading", [False, True], ids=["awgn", "rayleigh"])
 @pytest.mark.parametrize("cons_name", ["BPSK", "QPSK", "QAM16"])
