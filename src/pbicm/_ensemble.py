@@ -45,7 +45,9 @@ axes, and its 2**-E0 is the product of the axes' Gallager integrals.
 
 The moment pass (``moment_table``) reads the walk at R(0) in one gate loop
 that starts at ``LATTICE_STEP``/``GL_NODES`` and halves the step while
-doubling the fading nodes; a Dmc is exact.  E0 needs whole sums for many rho
+doubling the fading nodes; a Dmc is exact.  It takes the moments of the
+deficit log2(k) - i of each k-row channel, which is near 0 where i is near
+its cap, and returns the capacities and dispersions the callers read.  E0 needs whole sums for many rho
 values: ``get_ensemble`` stores the walk at R(1), which serves every
 rho <= 1, and streams the walk at R(rho) for a larger rho.  An ensemble keeps
 its per-rho E0 integrals.  Channels and constellations are values, so
@@ -212,46 +214,56 @@ def get_ensemble(base: ChannelModel, cons: Constellation) -> Ensemble:
 
 
 def _moment_pass(base: ChannelModel, cons: Constellation, step: float, gl: int):
-    """Moments from one pass over every axis's outputs within R(0), one run of channel states at a time.
+    """``moment_table``'s result from one pass over every axis's outputs within R(0), one run of channel states at a time.
 
-    On an axis, E[i] of a channel with rows W_r is sum_k w_k sum_r p_r
-    W_r(y_k) i_r(y_k), with i_r = log2(W_r / pbar): the rows are the two
-    laws of each axis bit (p_r = 1/2), whose E[i^2] the pass also takes,
-    and the axis labels (p_r = 1/ma).  The full input's E[i] is the sum of
-    the axes'.
+    On an axis, a channel of k equiprobable rows W_r has the information
+    density i_r = log2(W_r / pbar) and its deficit
+    d_r = log2(k) - i_r = log2(sum_r' W_r' / W_r) >= 0.  E[d] is
+    sum_j w_j (1/k) sum_r W_r(y_j) d_r(y_j), the capacity is log2(k) - E[d],
+    and the variance of i is that of d.  The rows are the two laws of each
+    axis bit (k = 2), whose E[d^2] the pass also takes, and the axis labels
+    (k = ma); the full input's deficit is the sum of the axes'.  Near
+    capacity d is near 0, so its moments keep the precision that those of
+    i lose to cancellation near log2(k), and with a deficit that rounds
+    below 0 read as 0, no capacity exceeds log2(k).
     """
     scale, w = _fading_nodes(base, gl)
-    m1, m2, cm = np.zeros(cons.L), np.zeros(cons.L), np.zeros(1)
+    c, v, cm = np.zeros(cons.L), np.zeros(cons.L), np.full(1, float(cons.L))
     for axis in _axes(base, cons):
         La = axis.L
-        mom = np.empty((len(scale), 2 * La + 1))  # per state: E[i], E[i^2] of each axis bit; E[i] of the label
+        mom = np.empty((len(scale), 2 * La + 1))  # per state: E[d], E[d^2] of each axis bit; E[d] of the label
         for st, starts, cell, log_rows, log_sub in _outputs(base, cons, axis, scale, step, _radius(cons.m, 0.0)):
-            rows = np.concatenate([log_sub.reshape(2 * La, -1), log_rows])
-            i = rows - kernels.log_mean(log_rows, 0)
-            i /= LN2
-            p = np.exp(rows)
-            np.copyto(i, 0.0, where=p == 0.0)  # a Dmc row that cannot produce y adds nothing (W log W -> 0)
-            p *= i  # W i
+            d = np.concatenate([log_sub.reshape(2 * La, -1), log_rows])
+            p = np.exp(d)
+            np.subtract(kernels.log_mean(log_rows, 0), d, out=d)
+            d /= LN2
+            d[: 2 * La] += 1.0  # log2(2) - i of the bit rows
+            d[2 * La :] += La  # log2(ma) - i of the label rows
+            np.maximum(d, 0.0, out=d)
+            np.copyto(d, 0.0, where=p == 0.0)  # a Dmc row that cannot produce y adds nothing (W log W -> 0)
+            p *= d  # W d
             bit = p[: 2 * La]
             e1 = 0.5 * (bit[0::2] + bit[1::2])
-            bit *= i[: 2 * La]  # W i^2 of the bit rows
+            bit *= d[: 2 * La]  # W d^2 of the bit rows
             law = np.concatenate([e1, 0.5 * (bit[0::2] + bit[1::2]), p[2 * La :].mean(0)[None]])
             mom[st] = cell * np.add.reduceat(law, starts, axis=1).T
         tot = w @ mom
-        m1[list(axis.bits)], m2[list(axis.bits)] = tot[:La], tot[La : 2 * La]
-        cm += tot[2 * La]
-    return m1, m2, cm
+        mean_d = tot[:La]
+        c[list(axis.bits)], v[list(axis.bits)] = 1.0 - mean_d, tot[La : 2 * La] - mean_d * mean_d
+        cm -= tot[2 * La]
+    return c, v, cm
 
 
-_MOMENT_NAMES = ("sub-channel capacities", "sub-channel second moments", "full-input capacity")
+_MOMENT_NAMES = ("sub-channel capacities", "sub-channel dispersions", "full-input capacity")
 
 
 def moment_table(base: ChannelModel, cons: Constellation):
-    """Sub-channel information moments and the full-input capacity, from one pass per resolution.
+    """Sub-channel capacities and dispersions and the full-input capacity, from one pass per resolution.
 
-    Returns ``(m1, m2, cm)`` where ``m1[s-1]`` is the sub-channel capacity
-    C(W_s) in bits, ``m2[s-1]`` the second moment of its information
-    density, and ``cm = [E[i]]`` for the full equiprobable input.
+    Returns ``(c, v, cm)`` where ``c[s-1]`` is the sub-channel capacity
+    C(W_s) in bits, ``v[s-1]`` the variance of its information density
+    (bits^2), and ``cm = [C]`` for the full equiprobable input.  Each comes
+    from the deficits of ``_moment_pass``, so ``c <= 1`` and ``cm <= L``.
     Continuous channels are gated by refinement: starting from
     ``LATTICE_STEP``/``GL_NODES``, the lattice step halves and the fading
     nodes double until two successive passes agree within

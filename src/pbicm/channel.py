@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._value import Value
 
 SNR_DB_CAP = 100.0
 
@@ -34,36 +37,18 @@ class Snr:
 
 
 @dataclass(frozen=True, eq=False)
-class Dmc:
-    """Discrete memoryless channel; inputs are row indices of ``matrix``.
-
-    A value: ``matrix`` is a read-only copy of the argument (an unpickled
-    Dmc is rebuilt through the constructor), and equality and hash follow
-    its class, shape and bytes.
-    """
+class Dmc(Value):
+    """Discrete memoryless channel, a ``_value.Value``; inputs are row indices of ``matrix``."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("Dmc matrix must be 2-D")
         if np.any(m < 0) or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("Dmc matrix must be row-stochastic")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def __reduce__(self):
-        return type(self), (self.matrix,)
-
-    def _key(self) -> tuple:
-        return type(self), self.matrix.shape, self.matrix.tobytes()
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, Dmc) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+        self._store(matrix=m)
 
     @property
     def nx(self) -> int:
@@ -127,6 +112,21 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
 
 
+def _dmc_index(v, size: int, what: str) -> np.ndarray:
+    """``v`` as indices into ``size`` Dmc inputs or outputs; a value that is not an integer in 0..size-1 raises ValueError(what)."""
+    v = np.asarray(v)
+    if v.dtype.kind not in "iu" or np.any((v < 0) | (v >= size)):  # a float such as 0.7 is refused, not truncated
+        raise ValueError(what)
+    return v
+
+
+def _integer(field: str, v) -> int:
+    """``v`` as an int, or a ValueError that names the field: a bool or a float such as 2.5 is not an integer."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{field} must be an integer, got {v!r}")
+    return int(v)
+
+
 def density(ch: ChannelModel, y, x) -> float:
     """Channel transition probability (Dmc) or density (continuous).
 
@@ -134,11 +134,8 @@ def density(ch: ChannelModel, y, x) -> float:
     value is the conditional density given the provided h.
     """
     if isinstance(ch, Dmc):
-        if not 0 <= int(x) < ch.nx:
-            raise ValueError("input outside channel alphabet")
-        if not 0 <= int(y) < ch.ny:
-            raise ValueError("output outside channel support")
-        return float(ch.matrix[int(x), int(y)])
+        x = _dmc_index(x, ch.nx, "input outside channel alphabet")
+        return float(ch.matrix[x, _dmc_index(y, ch.ny, "output outside channel support")])
     if isinstance(ch, Awgn):
         return float(np.exp(-np.abs(y - x) ** 2 / ch.n0) / (np.pi * ch.n0))
     yv, h = y
@@ -152,9 +149,7 @@ def sample(ch: ChannelModel, x, rng: np.random.Generator):
     ``(y, h)`` pair (RayleighCsi).
     """
     if isinstance(ch, Dmc):
-        if not 0 <= int(x) < ch.nx:
-            raise ValueError("input outside channel alphabet")
-        return int(sample_batch(ch, np.asarray(int(x)), rng))
+        return int(sample_batch(ch, _dmc_index(x, ch.nx, "input outside channel alphabet"), rng))
     out = sample_batch(ch, np.asarray(complex(x)), rng)
     return complex(out) if isinstance(ch, Awgn) else (complex(out[0]), complex(out[1]))
 

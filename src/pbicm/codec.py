@@ -25,6 +25,7 @@ from .channel import (
     ChannelModel,
     Dmc,
     RayleighCsi,
+    _integer,
     _json_value,
     awgn_from_snr,
     load_dmc,
@@ -32,6 +33,7 @@ from .channel import (
     rayleigh_from_snr,
     sample_batch,
 )
+from ._value import Value
 from .constellation import Constellation, make_constellation
 from .subchannel import check_labeling, llr_matrix
 
@@ -59,22 +61,22 @@ _FLOAT64_MAX_M = 32
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinaryCode:
-    """Explicit-codebook binary block code; message i sends ``codebook[i]``."""
+@dataclass(frozen=True, eq=False)
+class BinaryCode(Value):
+    """Explicit-codebook binary block code, a ``_value.Value``; message i sends ``codebook[i]``."""
 
     name: str
-    codebook: np.ndarray  # (M, n) uint8
+    codebook: np.ndarray  # (M, n) uint8, C-contiguous
 
     def __post_init__(self):
-        cb = np.ascontiguousarray(self.codebook, dtype=np.uint8)
+        cb = np.asarray(self.codebook, dtype=np.uint8)
         if cb.ndim != 2 or cb.shape[0] < 2 or cb.shape[1] < 1:
             raise ValueError(f"codebook must be (M, n) with M >= 2 and blocklength n >= 1, got shape {cb.shape}")
         if cb.shape[0] > MAX_CODEBOOK:
             raise ValueError(f"codebook larger than {MAX_CODEBOOK} codewords")
         if cb.max() > 1:
             raise ValueError("codewords must be 0/1 valued")
-        object.__setattr__(self, "codebook", cb)
+        self._store(codebook=cb)
 
     @property
     def M(self) -> int:
@@ -142,22 +144,19 @@ def make_code(spec: dict) -> BinaryCode:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PbicmState:
-    """Shared randomness of one block: states s in {0..L-1}^n, dither d in {0,1}^(L x n)."""
+@dataclass(frozen=True, eq=False)
+class PbicmState(Value):
+    """Shared randomness of one block, a ``_value.Value``: states s in {0..L-1}^n, dither d in {0,1}^(L x n)."""
 
     s: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.int64)
-        d = np.asarray(self.d, dtype=np.uint8)
-        if d.ndim != 2 or s.shape != (d.shape[1],):
+        self._store(s=np.asarray(self.s, dtype=np.int64), d=np.asarray(self.d, dtype=np.uint8))
+        if self.d.ndim != 2 or self.s.shape != (self.d.shape[1],):
             raise ValueError("state length must match dither columns")
-        if s.min(initial=0) < 0 or s.max(initial=0) >= d.shape[0]:
+        if self.s.min(initial=0) < 0 or self.s.max(initial=0) >= self.d.shape[0]:
             raise ValueError("states must lie in {0..L-1}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "d", d)
 
 
 def make_state(L: int, n: int, rng: np.random.Generator) -> PbicmState:
@@ -379,6 +378,7 @@ class PbicmSimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.trials, self.seed = _integer("trials", self.trials), _integer("seed", self.seed)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         check_labeling(self.channel, self.cons)
@@ -418,7 +418,9 @@ class PbicmSimConfig:
 
 
 def wilson_ci(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion: k successes in n trials."""
+    if not 0 <= k <= n:
+        raise ValueError(f"successes k = {k} outside 0..n for n = {n} trials")
     if n == 0:
         return 0.0, 1.0
     p = k / n

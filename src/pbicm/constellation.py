@@ -23,13 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._value import Value
+
+
 def _gray(k: np.ndarray) -> np.ndarray:
     return k ^ (k >> 1)
 
 
 @dataclass(frozen=True, eq=False)
-class Axis:
-    """One independent axis of a constellation.
+class Axis(Value):
+    """One independent axis of a constellation, a ``_value.Value``.
 
     ``bits`` are the 0-based label bit positions the axis carries (MSB-first
     index into the label), ``dims`` the real output coordinates it reads
@@ -40,15 +43,10 @@ class Axis:
 
     bits: tuple[int, ...]
     dims: tuple[int, ...]
-    points: np.ndarray  # (2**len(bits), len(dims)) real, a read-only copy (also unpickled)
+    points: np.ndarray  # (2**len(bits), len(dims)) real
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=float)
-        points.setflags(write=False)
-        object.__setattr__(self, "points", points)
-
-    def __reduce__(self):
-        return type(self), (self.bits, self.dims, self.points)
+        self._store(points=np.asarray(self.points, dtype=float))
 
     @property
     def L(self) -> int:
@@ -79,12 +77,8 @@ def _pam_points(m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Constellation:
-    """Complex constellation with a Gray bit labeling.
-
-    A value: the arrays are read-only copies of the arguments (an unpickled
-    constellation is rebuilt through the constructor), and equality and hash
-    follow the class, name, L and the bytes of ``points`` and ``labels``.
+class Constellation(Value):
+    """Complex constellation with a Gray bit labeling, a ``_value.Value``.
 
     Its independent axes (``axes``, see the module docstring) are derived
     from ``points`` and ``labels``, not from the name: when the real and
@@ -117,29 +111,14 @@ class Constellation:
     axes: tuple[Axis, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=complex)
+        points = np.asarray(self.points, dtype=complex)
         labels = np.asarray(self.labels).astype(np.int64, casting="safe")
         if points.shape != (2**self.L,) or labels.shape != (2**self.L,):
             raise ValueError("points/labels must have 2**L entries")
         if sorted(labels.tolist()) != list(range(2**self.L)):
             raise ValueError("labels must be a bijection onto point indices")
-        # symbols[b] = point carrying label integer b
-        for attr, a in (("points", points), ("labels", labels), ("symbols", points[labels])):
-            a.setflags(write=False)
-            object.__setattr__(self, attr, a)
-        object.__setattr__(self, "axes", _independent_axes(self.L, self.symbols))
-
-    def __reduce__(self):
-        return type(self), (self.name, self.L, self.points, self.labels)
-
-    def _key(self) -> tuple:
-        return type(self), self.name, self.L, self.points.tobytes(), self.labels.tobytes()
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, Constellation) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+        symbols = points[labels]  # symbols[b] = point carrying label integer b
+        self._store(points=points, labels=labels, symbols=symbols, axes=_independent_axes(self.L, symbols))
 
     @property
     def m(self) -> int:

@@ -12,6 +12,12 @@ always overestimates the combined value by Jensen's inequality.  Error
 exponents of the parallel scheme at total rate R are the binary-channel
 exponents at R/L, optionally normalized by L to compare against the
 unconstrained channel exponent on a per-channel-use axis.
+
+Capacities and dispersions read one gated ``_ensemble.moment_table`` per
+(channel, constellation): the sub-channel capacities, their dispersions and
+the full-input capacity, from the moments of the deficit log2(k) - i of
+each k-row channel.  So no capacity exceeds the bits its input carries,
+even at the SNR cap, where i is log2(k) up to rounding.
 """
 from __future__ import annotations
 
@@ -27,7 +33,8 @@ import numpy as np
 
 from ._ensemble import Ensemble, QuadratureConvergenceError, get_ensemble, moment_table
 from ._opt import RHO_MAX, exponent_max
-from .channel import ChannelModel
+from ._value import Value
+from .channel import ChannelModel, _integer
 from .constellation import Constellation
 
 __all__ = [
@@ -79,7 +86,10 @@ CURVE_KINDS = tuple(_CURVES)
 
 @functools.lru_cache(maxsize=8)
 def _moments(base: ChannelModel, cons: Constellation):
-    """Gated ``moment_table`` of (base, cons); the 8 most recently used pairs are kept."""
+    """Gated ``moment_table`` of (base, cons): sub-channel capacities and dispersions, ``[capacity_cm]``.
+
+    The 8 most recently used pairs are kept.
+    """
     return moment_table(base, cons)
 
 
@@ -128,12 +138,12 @@ class E0Evaluator:
     cons: Constellation
     kind: str
     s: int | None = None
-    _ens: Ensemble = field(init=False, repr=False)  # its per-rho integrals are shared by all views
+    _ens: Ensemble = field(init=False, repr=False, compare=False)  # its per-rho integrals are shared by all views
 
     def __post_init__(self):
-        self.kind = _E0_ALIASES.get(self.kind, self.kind)
-        if self.kind not in E0_KINDS:
+        if self.kind not in E0_KINDS + tuple(_E0_ALIASES):  # a tuple test: an unhashable kind is refused like any other
             raise ValueError(f"kind must be one of {E0_KINDS}")
+        self.kind = _E0_ALIASES.get(self.kind, self.kind)
         if self.kind == "Subchannel":
             if self.s is None or not 1 <= self.s <= self.cons.L:
                 raise ValueError("Subchannel kind requires s in 1..L")
@@ -202,11 +212,9 @@ def pbicm_exponent(
     ``normalized=True`` the value is multiplied by L (exponent per binary
     code symbol rather than per channel use).
     """
-    ev = e0_evaluator(base, cons, "WbarCombined")
-    fn = _BOUNDS.get(bound)
-    if fn is None:
+    if bound not in tuple(_BOUNDS):  # a tuple test: an unhashable bound is refused like any other
         raise ValueError("bound must be 'RandomCoding' or 'SpherePacking'")
-    v = fn(ev, rate_total / cons.L)
+    v = _BOUNDS[bound](e0_evaluator(base, cons, "WbarCombined"), rate_total / cons.L)
     return cons.L * v if normalized else v
 
 
@@ -219,10 +227,10 @@ def pbicm_exponent(
 class DispersionReport:
     """Second-order statistics of the sub-channels and the parallel scheme.
 
-    ``v_wbar`` is the dispersion of the randomized binary channel; it always
-    decomposes as ``mean_subchannel_v + penalty`` where the penalty
-    is the variance of the sub-channel capacities (the price of state
-    randomization).  ``v_pbicm = L**2 * v_wbar`` is the dispersion governing
+    ``v_wbar`` is the dispersion of the randomized binary channel, the flat
+    variance over (state, output), computed as ``mean_subchannel_v +
+    penalty`` where the penalty is the variance of the sub-channel
+    capacities (the price of state randomization).  ``v_pbicm = L**2 * v_wbar`` is the dispersion governing
     the total rate of the parallel scheme.
     """
 
@@ -246,12 +254,11 @@ class DispersionReport:
 
 
 def dispersion_report(base: ChannelModel, cons: Constellation) -> DispersionReport:
-    m1, m2, _ = _moments(base, cons)
-    c_sub = m1
-    v_sub = m2 - m1 * m1
+    c_sub, v_sub, _ = _moments(base, cons)
     c_wbar = float(c_sub.mean())
-    v_wbar = float(m2.mean() - c_wbar * c_wbar)  # flat variance over (state, output)
+    mean_v = float(v_sub.mean())
     penalty = float(np.mean((c_sub - c_wbar) ** 2))
+    v_wbar = mean_v + penalty
     return DispersionReport(
         L=cons.L,
         c_subchannels=[float(v) for v in c_sub],
@@ -260,7 +267,7 @@ def dispersion_report(base: ChannelModel, cons: Constellation) -> DispersionRepo
         c_pbicm=float(c_sub.sum()),
         v_wbar=v_wbar,
         v_pbicm=float(cons.L**2 * v_wbar),
-        mean_subchannel_v=float(v_sub.mean()),
+        mean_subchannel_v=mean_v,
         penalty=penalty,
     )
 
@@ -272,12 +279,12 @@ def rate_bounds(base: ChannelModel, cons: Constellation, n: int, pe: float) -> t
     probability pe: the achievable side pays Q^{-1}(pe/L) (a union over the
     L parallel codes), the converse side Q^{-1}(pe).
     """
-    if n < 1:
+    if _integer("blocklength", n) < 1:
         raise ValueError("blocklength must be >= 1")
     if not 0 < pe < 1:
         raise ValueError("target error probability must be in (0, 1)")
     rep = dispersion_report(base, cons)
-    scale = math.sqrt(max(rep.v_pbicm, 0.0) / n)  # a variance; m2 - m1^2 rounds to about -1e-12 at the SNR cap
+    scale = math.sqrt(max(rep.v_pbicm, 0.0) / n)  # a guard: a variance is never negative
     lower = rep.c_pbicm - scale * qinv(pe / cons.L)
     upper = rep.c_pbicm - scale * qinv(pe)
     return lower, upper
@@ -285,8 +292,8 @@ def rate_bounds(base: ChannelModel, cons: Constellation, n: int, pe: float) -> t
 
 def exponent_gaussian_approx(c: float, v: float, rate: float) -> float:
     """Quadratic exponent approximation (c - rate)^2 / (2 v ln 2), bits."""
-    if v <= 0:
-        raise ValueError("dispersion must be positive")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"dispersion must be finite and positive, got {v}")
     return (c - rate) ** 2 / (2.0 * v * math.log(2.0))
 
 
@@ -316,9 +323,9 @@ def qinv(eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExponentCurve:
-    """Tabulated exponent-vs-rate curve; rates and values in bits."""
+@dataclass(frozen=True, eq=False)
+class ExponentCurve(Value):
+    """Tabulated exponent-vs-rate curve, a ``_value.Value``; rates and values in bits."""
 
     kind: str
     rates: np.ndarray
@@ -327,8 +334,7 @@ class ExponentCurve:
     def __post_init__(self):
         if self.kind not in CURVE_KINDS:
             raise ValueError(f"kind must be one of {CURVE_KINDS}")
-        self.rates = np.asarray(self.rates, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        self._store(rates=np.asarray(self.rates, dtype=float), values=np.asarray(self.values, dtype=float))
         if self.rates.shape != self.values.shape or self.rates.ndim != 1:
             raise ValueError("rates and values must be 1-D and congruent")
 

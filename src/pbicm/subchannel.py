@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelModel, Dmc, RayleighCsi, density
+from .channel import ChannelModel, Dmc, RayleighCsi, _dmc_index, density
 from .constellation import Constellation
 from . import kernels
 
@@ -121,9 +121,7 @@ def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.nda
     nothing and gets LLR 0.
     """
     if isinstance(base, Dmc):
-        idx = np.asarray(y, dtype=np.int64).ravel()
-        if np.any((idx < 0) | (idx >= base.ny)):
-            raise ValueError("output outside channel support")
+        idx = _dmc_index(y, base.ny, "output outside channel support").ravel()
         log_rows = dmc_log_rows(base, cons)[:, idx]
         if np.any(np.all(log_rows == -np.inf, axis=0)):  # no input produces the output
             raise ValueError("output outside channel support")

@@ -82,6 +82,8 @@ def test_density_dmc_is_matrix_entry():
         (2, 0, "output outside channel support"),
         (0, -1, "input outside channel alphabet"),
         (0, 2, "input outside channel alphabet"),
+        (0.7, 0, "output outside channel support"),
+        (0, 0.5, "input outside channel alphabet"),
     ],
 )
 def test_density_dmc_rejects_index_outside_alphabet(y, x, message):
@@ -115,6 +117,8 @@ def test_sample_dmc_identity_channel():
         assert sample(ch, x, rng) == x
     with pytest.raises(ValueError):
         sample(ch, 7, rng)
+    with pytest.raises(ValueError, match="input outside channel alphabet"):
+        sample(ch, 1.5, rng)  # not truncated to row 1
 
 
 @pytest.mark.parametrize(

@@ -679,6 +679,20 @@ def test_sim_config_refuses_a_value_of_the_wrong_json_type(keys, value, field):
         PbicmSimConfig.from_json(json.dumps(spec))
 
 
+@pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", True), ("seed", 1.5), ("seed", False)])
+def test_sim_config_refuses_a_count_that_is_not_an_integer(field, value):
+    # only from_json checks JSON types; the constructor must not read 2.5 trials or True as 1
+    args = {"trials": 10, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        PbicmSimConfig(hamming74(), QPSK, Awgn(0.5), **args)
+
+
+@pytest.mark.parametrize("k, n", [(5, 3), (-1, 3), (1, 0)])
+def test_wilson_ci_refuses_successes_outside_the_trials(k, n):
+    with pytest.raises(ValueError, match=f"k = {k} outside 0..n for n = {n}"):
+        wilson_ci(k, n)
+
+
 def test_wilson_ci_reference_values():
     lo, hi = wilson_ci(5, 10)
     assert lo == pytest.approx(0.236593090512564, abs=1e-12)

@@ -136,6 +136,8 @@ def test_e0_kinds_and_validation():
         e0_evaluator(ch, QPSK, "WbarCombined", s=1)
     with pytest.raises(ValueError):
         e0_evaluator(ch, QPSK, "NoSuchKind")
+    with pytest.raises(ValueError, match="kind must be one of"):
+        e0_evaluator(ch, QPSK, ["wbar"])  # unhashable: refused like any other kind
     with pytest.raises(ValueError):
         e0(ev, -0.5)
     with pytest.raises(ValueError):
@@ -329,6 +331,8 @@ def test_pbicm_exponent_rates_and_normalization():
         )
     sp = pbicm_exponent(ch, QPSK, 0.4, bound="SpherePacking")
     assert sp >= pbicm_exponent(ch, QPSK, 0.4) - 1e-12
+    with pytest.raises(ValueError, match="bound must be"):
+        pbicm_exponent(ch, QPSK, 0.4, bound=["x"])  # unhashable: refused like any other bound
     # snake_case spellings are accepted
     assert pbicm_exponent(ch, QPSK, 0.4, bound="random_coding") == pytest.approx(
         pbicm_exponent(ch, QPSK, 0.4), abs=1e-15
@@ -415,10 +419,21 @@ def test_dispersion_report_json():
     assert len(d["c_subchannels"]) == 2
 
 
+@pytest.mark.parametrize("channel", [Awgn, RayleighCsi], ids=["awgn", "rayleigh"])
+@pytest.mark.parametrize("cons_name", ["BPSK", "QPSK", "PSK8", "QAM16", "QAM64"])
+def test_moments_stay_in_range_at_the_snr_cap(cons_name, channel):
+    # the information density is near log2(k) everywhere there; its mean and
+    # variance, taken of the deficit log2(k) - i, stay in range
+    base, cons = channel(Snr(100.0).n0), make_constellation(cons_name)
+    rep = dispersion_report(base, cons)
+    assert all(c <= 1.0 for c in rep.c_subchannels)
+    assert capacity_cm(base, cons) <= cons.L and capacity_pbicm(base, cons) <= cons.L
+    assert all(v >= 0.0 for v in [*rep.v_subchannels, rep.v_wbar, rep.v_pbicm, rep.mean_subchannel_v])
+
+
 @pytest.mark.parametrize("cons_name", ["QPSK", "QAM16", "PSK8"])
 def test_rate_bounds_at_the_snr_cap(cons_name):
-    # there m2 - m1^2 of two values near 1 rounds to about -1e-12, and a
-    # variance is never negative: the bracket closes on the capacity
+    # the dispersion is near 0 there: the bracket closes on the capacity
     base, cons = Awgn(Snr(100.0).n0), make_constellation(cons_name)
     rep = dispersion_report(base, cons)
     assert abs(rep.v_pbicm) < 1e-10
@@ -444,6 +459,11 @@ def test_rate_bounds_bracket_and_limits():
     assert hi2 - lo2 < hi - lo
     with pytest.raises(ValueError):
         rate_bounds(ch, QPSK, 0, 1e-3)
+    with pytest.raises(ValueError, match="blocklength must be an integer"):
+        rate_bounds(ch, QPSK, 10.5, 1e-3)
+    with pytest.raises(ValueError, match="blocklength must be an integer"):
+        rate_bounds(ch, QPSK, True, 1e-3)
+    assert rate_bounds(ch, QPSK, np.int64(500), 1e-3) == (lo, hi)
     with pytest.raises(ValueError):
         rate_bounds(ch, QPSK, 100, 0.0)
     with pytest.raises(ValueError):
@@ -458,6 +478,9 @@ def test_gaussian_exponent_approximation():
     assert full == pytest.approx(4 * half, rel=1e-12)
     with pytest.raises(ValueError):
         exponent_gaussian_approx(0.5, 0.0, 0.3)
+    for v in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dispersion must be finite and positive"):
+            exponent_gaussian_approx(0.5, v, 0.3)
     # near capacity it tracks the true random-coding exponent
     P = bsc(0.1).matrix
     c, v = dmc.capacity(P), dmc.dispersion(P)

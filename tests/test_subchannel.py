@@ -141,7 +141,7 @@ def test_llr_clamping_and_support_error():
         llr_matrix(ch3, BPSK, np.array([2]))
 
 
-@pytest.mark.parametrize("y", [-1, 2, [0, 1, 2]])
+@pytest.mark.parametrize("y", [-1, 2, [0, 1, 2], 0.7])
 def test_dmc_llr_rejects_output_index_outside_alphabet(y):
     ch = Dmc(np.array([[0.9, 0.1], [0.2, 0.8]]))
     with pytest.raises(ValueError, match="output outside channel support"):
