@@ -149,7 +149,7 @@ def sample(ch: ChannelModel, x, rng: np.random.Generator):
     ``(y, h)`` pair (RayleighCsi).
     """
     if isinstance(ch, Dmc):
-        return int(sample_batch(ch, _dmc_index(x, ch.nx, "input outside channel alphabet"), rng))
+        return int(sample_batch(ch, x, rng))
     out = sample_batch(ch, np.asarray(complex(x)), rng)
     return complex(out) if isinstance(ch, Awgn) else (complex(out[0]), complex(out[1]))
 
@@ -159,8 +159,10 @@ def sample_batch(ch: ChannelModel, x: np.ndarray, rng: np.random.Generator):
 
     Noise draws do not depend on the input values, only on array shape,
     so two batches of equal shape consume identical generator state.
+    A Dmc input that is not an integer in 0..nx-1 raises ValueError.
     """
     if isinstance(ch, Dmc):
+        x = _dmc_index(x, ch.nx, "input outside channel alphabet")
         u = rng.random(x.shape)
         cdf = np.cumsum(ch.matrix, axis=1)
         # no last threshold: rows may sum to 1 - 1e-9, and a draw above that is still output ny-1

@@ -69,13 +69,14 @@ class BinaryCode(Value):
     codebook: np.ndarray  # (M, n) uint8, C-contiguous
 
     def __post_init__(self):
-        cb = np.asarray(self.codebook, dtype=np.uint8)
+        cb = np.asarray(self.codebook)
+        if not np.all((cb == 0) | (cb == 1)):  # before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
+            raise ValueError("codewords must be 0/1 valued")
+        cb = cb.astype(np.uint8)
         if cb.ndim != 2 or cb.shape[0] < 2 or cb.shape[1] < 1:
             raise ValueError(f"codebook must be (M, n) with M >= 2 and blocklength n >= 1, got shape {cb.shape}")
         if cb.shape[0] > MAX_CODEBOOK:
             raise ValueError(f"codebook larger than {MAX_CODEBOOK} codewords")
-        if cb.max() > 1:
-            raise ValueError("codewords must be 0/1 valued")
         self._store(codebook=cb)
 
     @property

@@ -153,6 +153,13 @@ def test_rayleigh_unit_average_fading_power():
     assert abs(pw.mean() - 1.0) < 3 * pw.std() / np.sqrt(pw.size)
 
 
+@pytest.mark.parametrize("x", [[-1, -2], [3]], ids=["negative", "past-the-end"])
+def test_sample_batch_dmc_refuses_input_outside_alphabet(x):
+    # a negative input is not a row counted from the end
+    with pytest.raises(ValueError, match="input outside channel alphabet"):
+        sample_batch(Dmc(np.eye(3)), np.array(x), make_rng(0))
+
+
 def test_sample_batch_dmc_matches_matrix(rng):
     mat = random_stochastic(np.random.default_rng(5), 3, 4)
     ch = Dmc(mat)

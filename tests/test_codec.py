@@ -54,6 +54,23 @@ def test_code_validation():
         repetition(0)
 
 
+@pytest.mark.parametrize(
+    "cb",
+    [np.array([[0, 256], [1, 0.0]]), np.array([[0, 0.5], [1, 1]])],
+    ids=["wraps-to-0", "truncates-to-0"],
+)
+def test_code_refuses_entries_the_uint8_cast_would_change(cb):
+    with pytest.raises(ValueError, match="0/1 valued"):
+        BinaryCode("bad", cb)
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.uint8, float])
+def test_code_accepts_any_0_1_codebook(dtype):
+    code = BinaryCode("c", np.array([[0, 1, 1], [1, 0, 0]], dtype=dtype))
+    np.testing.assert_array_equal(code.codebook, [[0, 1, 1], [1, 0, 0]])
+    assert code.codebook.dtype == np.uint8
+
+
 def test_code_rejects_zero_blocklength():
     with pytest.raises(ValueError, match="blocklength"):
         random_codebook(0, 4, 1)

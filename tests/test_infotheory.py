@@ -646,6 +646,52 @@ def test_moment_table_takes_two_passes(monkeypatch, cons_name, channel, snr_db):
         np.testing.assert_allclose(v, want, rtol=0, atol=1e-6)
 
 
+FIVE = ("BPSK", "QPSK", "PSK8", "QAM16", "QAM64")
+
+
+@pytest.mark.parametrize("snr_db", [-30.0, 0.0, 30.0, 100.0])
+@pytest.mark.parametrize("cons_name", FIVE)
+def test_fading_floor_moves_no_moment_past_its_bound(monkeypatch, cons_name, snr_db):
+    # the states below the floor, folded into one zero-gain state, move each
+    # moment by at most 1e-9; with the floor at -inf nothing is folded
+    base, cons = RayleighCsi(Snr(snr_db).n0), make_constellation(cons_name)
+    folded = moment_table(base, cons)
+    monkeypatch.setattr(_ensemble, "_fading_floor", lambda n0: -math.inf)
+    for v, want in zip(folded, moment_table(base, cons), strict=True):
+        np.testing.assert_allclose(v, want, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("snr_db", [-40.0, -30.0, -20.0, -10.0])
+@pytest.mark.parametrize("cons_name", FIVE)
+def test_moments_of_a_state_are_within_the_floor_slope_of_zero_gain(cons_name, snr_db):
+    # the floor's premise: at gain |h| each moment the pass reads is within
+    # K |h|^2 / n0 of its value at |h| = 0, where every deficit d is log2(k);
+    # AWGN is the state |h| = 1
+    n0 = Snr(snr_db).n0
+    c, v, cm = moment_table(Awgn(n0), make_constellation(cons_name))
+    bound = _ensemble.DEFICIT_SLOPE / n0
+    mean_d = 1.0 - c
+    assert np.all(np.abs(mean_d - 1.0) <= bound)  # E[d] of each bit
+    assert np.all(np.abs(v + mean_d * mean_d - 1.0) <= bound)  # E[d^2] of each bit
+    assert abs(cm[0]) <= bound  # L less the labels' E[d]
+
+
+def test_fading_floor_cuts_the_states_walked(monkeypatch):
+    # at 10 dB the floor is u0 = -11.5: 23 of the 64 coarse fading nodes and
+    # 46 of the 128 fine ones, plus the zero-gain state
+    walked = []
+    real_outputs = _ensemble._outputs
+
+    def counted_outputs(base, cons, axis, scale, *args):
+        walked.append(len(scale))
+        return real_outputs(base, cons, axis, scale, *args)
+
+    monkeypatch.setattr(_ensemble, "_outputs", counted_outputs)
+    moment_table(RayleighCsi(Snr(10.0).n0), QPSK)
+    coarse, fine = walked[:2], walked[2:]  # one walk per axis and pass
+    assert len(fine) == 2 and max(coarse) <= 24 and max(fine) <= 47
+
+
 @pytest.mark.parametrize("snr_db", [-30.0, -10.0, 0.0, 10.0, 20.0, 30.0, 50.0, 100.0])
 @pytest.mark.parametrize("fading", [False, True], ids=["awgn", "rayleigh"])
 @pytest.mark.parametrize("cons_name", ["BPSK", "QPSK", "QAM16"])
