@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._value import Value
+from . import _value
 
 SNR_DB_CAP = 100.0
 
@@ -37,7 +37,7 @@ class Snr:
 
 
 @dataclass(frozen=True, eq=False)
-class Dmc(Value):
+class Dmc(_value.Value):
     """Discrete memoryless channel, a ``_value.Value``; inputs are row indices of ``matrix``."""
 
     matrix: np.ndarray
@@ -112,14 +112,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, stream))))
 
 
-def _dmc_index(v, size: int, what: str) -> np.ndarray:
-    """``v`` as indices into ``size`` Dmc inputs or outputs; a value that is not an integer in 0..size-1 raises ValueError(what)."""
-    v = np.asarray(v)
-    if v.dtype.kind not in "iu" or np.any((v < 0) | (v >= size)):  # a float such as 0.7 is refused, not truncated
-        raise ValueError(what)
-    return v
-
-
 def _integer(field: str, v) -> int:
     """``v`` as an int, or a ValueError that names the field: a bool or a float such as 2.5 is not an integer."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -134,8 +126,8 @@ def density(ch: ChannelModel, y, x) -> float:
     value is the conditional density given the provided h.
     """
     if isinstance(ch, Dmc):
-        x = _dmc_index(x, ch.nx, "input outside channel alphabet")
-        return float(ch.matrix[x, _dmc_index(y, ch.ny, "output outside channel support")])
+        x = _value.index(x, ch.nx, "input outside channel alphabet")
+        return float(ch.matrix[x, _value.index(y, ch.ny, "output outside channel support")])
     if isinstance(ch, Awgn):
         return float(np.exp(-np.abs(y - x) ** 2 / ch.n0) / (np.pi * ch.n0))
     yv, h = y
@@ -162,7 +154,7 @@ def sample_batch(ch: ChannelModel, x: np.ndarray, rng: np.random.Generator):
     A Dmc input that is not an integer in 0..nx-1 raises ValueError.
     """
     if isinstance(ch, Dmc):
-        x = _dmc_index(x, ch.nx, "input outside channel alphabet")
+        x = _value.index(x, ch.nx, "input outside channel alphabet")
         u = rng.random(x.shape)
         cdf = np.cumsum(ch.matrix, axis=1)
         # no last threshold: rows may sum to 1 - 1e-9, and a draw above that is still output ny-1

@@ -33,7 +33,7 @@ from .channel import (
     rayleigh_from_snr,
     sample_batch,
 )
-from ._value import Value
+from . import _value
 from .constellation import Constellation, make_constellation
 from .subchannel import check_labeling, llr_matrix
 
@@ -62,17 +62,14 @@ _FLOAT64_MAX_M = 32
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryCode(Value):
+class BinaryCode(_value.Value):
     """Explicit-codebook binary block code, a ``_value.Value``; message i sends ``codebook[i]``."""
 
     name: str
     codebook: np.ndarray  # (M, n) uint8, C-contiguous
 
     def __post_init__(self):
-        cb = np.asarray(self.codebook)
-        if not np.all((cb == 0) | (cb == 1)):  # before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
-            raise ValueError("codewords must be 0/1 valued")
-        cb = cb.astype(np.uint8)
+        cb = _value.bits(self.codebook, "codewords")
         if cb.ndim != 2 or cb.shape[0] < 2 or cb.shape[1] < 1:
             raise ValueError(f"codebook must be (M, n) with M >= 2 and blocklength n >= 1, got shape {cb.shape}")
         if cb.shape[0] > MAX_CODEBOOK:
@@ -104,8 +101,6 @@ class BinaryCode(Value):
 
 
 def repetition(n: int) -> BinaryCode:
-    if n < 1:
-        raise ValueError("repetition length must be >= 1")
     return BinaryCode("repetition", np.array([[0] * n, [1] * n], dtype=np.uint8))
 
 
@@ -146,18 +141,17 @@ def make_code(spec: dict) -> BinaryCode:
 
 
 @dataclass(frozen=True, eq=False)
-class PbicmState(Value):
+class PbicmState(_value.Value):
     """Shared randomness of one block, a ``_value.Value``: states s in {0..L-1}^n, dither d in {0,1}^(L x n)."""
 
     s: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
-        self._store(s=np.asarray(self.s, dtype=np.int64), d=np.asarray(self.d, dtype=np.uint8))
-        if self.d.ndim != 2 or self.s.shape != (self.d.shape[1],):
+        d = _value.bits(self.d, "dither")
+        if d.ndim != 2 or np.shape(self.s) != (d.shape[1],):
             raise ValueError("state length must match dither columns")
-        if self.s.min(initial=0) < 0 or self.s.max(initial=0) >= self.d.shape[0]:
-            raise ValueError("states must lie in {0..L-1}")
+        self._store(s=_value.index(self.s, d.shape[0], "states").astype(np.int64), d=d)
 
 
 def make_state(L: int, n: int, rng: np.random.Generator) -> PbicmState:
@@ -182,11 +176,16 @@ def deinterleave(Z: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def apply_dither(bits: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return np.bitwise_xor(np.asarray(bits, dtype=np.uint8), np.asarray(d, dtype=np.uint8))
+    """XOR of 0/1 bits with 0/1 dither bits, as uint8."""
+    return _value.bits(bits, "bits") ^ _value.bits(d, "dither")
 
 
 def remove_dither_llr(z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Flip LLR signs wherever the dither bit was 1."""
+    """Flip LLR signs wherever the 0/1 dither bit was 1."""
+    return _undither(z, _value.bits(d, "dither"))
+
+
+def _undither(z, d) -> np.ndarray:  # unchecked: the simulate path draws its own dither
     return np.asarray(z) * (1.0 - 2.0 * np.asarray(d, dtype=float))
 
 
@@ -302,12 +301,12 @@ def _llr_rows(base: ChannelModel, cons: Constellation, out) -> np.ndarray:
 
 def _send(base: ChannelModel, cons: Constellation, cw, d, s, rng):
     """Dither, interleave, pack and map (..., L, n) codeword bits, then send them."""
-    return _map_and_sample(base, cons, _interleaved_labels(apply_dither(cw, d), s), rng)
+    return _map_and_sample(base, cons, _interleaved_labels(cw ^ d, s), rng)
 
 
 def _receive_llrs(base: ChannelModel, cons: Constellation, out, d, s) -> np.ndarray:
     """Demap, de-interleave and de-dither channel outputs -> (..., L, n) LLRs."""
-    return remove_dither_llr(_deinterleaved_llrs(_llr_rows(base, cons, out), s), d)
+    return _undither(_deinterleaved_llrs(_llr_rows(base, cons, out), s), d)
 
 
 def _direct_llrs(base: ChannelModel, cons: Constellation, bits: np.ndarray, rng) -> np.ndarray:
@@ -324,7 +323,7 @@ def _direct_llrs(base: ChannelModel, cons: Constellation, bits: np.ndarray, rng)
     lab = (u & ~(1 << shift)) | ((bits ^ d).astype(np.int64) << shift)
     z = _llr_rows(base, cons, _map_and_sample(base, cons, lab, rng))
     N = z.shape[1]
-    return remove_dither_llr(np.take(z, (s - 1) * N + np.arange(N).reshape(s.shape)), d)  # row s - 1 of each output
+    return _undither(np.take(z, (s - 1) * N + np.arange(N).reshape(s.shape)), d)  # row s - 1 of each output
 
 
 def pbicm_transmit(
@@ -341,11 +340,9 @@ def pbicm_transmit(
     complex array (Awgn) or a (y, h) pair (RayleighCsi).  Noise draws depend
     only on the block shape, not on the transmitted values.
     """
-    messages = np.asarray(messages, dtype=np.int64)
-    if messages.shape != (state.d.shape[0],):
+    if np.shape(messages) != (state.d.shape[0],):
         raise ValueError("need one message per level")
-    if messages.min() < 0 or messages.max() >= code.M:
-        raise ValueError("message index out of range")
+    messages = _value.index(messages, code.M, "message index")
     return _send(base, cons, code.codebook[messages], state.d, state.s, rng)
 
 
@@ -420,6 +417,7 @@ class PbicmSimConfig:
 
 def wilson_ci(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion: k successes in n trials."""
+    k, n = _integer("successes k", k), _integer("trials n", n)
     if not 0 <= k <= n:
         raise ValueError(f"successes k = {k} outside 0..n for n = {n} trials")
     if n == 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._value import Value
+from . import _value
 
 
 def _gray(k: np.ndarray) -> np.ndarray:
@@ -31,7 +31,7 @@ def _gray(k: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Axis(Value):
+class Axis(_value.Value):
     """One independent axis of a constellation, a ``_value.Value``.
 
     ``bits`` are the 0-based label bit positions the axis carries (MSB-first
@@ -77,7 +77,7 @@ def _pam_points(m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Constellation(Value):
+class Constellation(_value.Value):
     """Complex constellation with a Gray bit labeling, a ``_value.Value``.
 
     Its independent axes (``axes``, see the module docstring) are derived
@@ -215,9 +215,7 @@ def map_bits(cons: Constellation, bits: np.ndarray) -> np.ndarray:
     ``ValueError`` if the trailing axis does not have length L or contains
     values outside {0, 1}.
     """
-    bits = np.asarray(bits)
+    bits = _value.bits(bits, "bits")
     if bits.shape[-1] != cons.L:
         raise ValueError(f"expected {cons.L} bits per symbol, got {bits.shape[-1]}")
-    if bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise ValueError("bits must be 0/1 valued")
     return cons.symbols[bits_to_int(bits)]

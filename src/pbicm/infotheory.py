@@ -33,7 +33,7 @@ import numpy as np
 
 from ._ensemble import Ensemble, QuadratureConvergenceError, get_ensemble, moment_table
 from ._opt import RHO_MAX, exponent_max
-from ._value import Value
+from . import _value
 from .channel import ChannelModel, _integer
 from .constellation import Constellation
 
@@ -100,8 +100,7 @@ def _moments(base: ChannelModel, cons: Constellation):
 
 def capacity_subchannel(base: ChannelModel, cons: Constellation, s: int) -> float:
     """C(W_s) in bits for sub-channel s (1-based)."""
-    if not 1 <= s <= cons.L:
-        raise ValueError(f"sub-channel index must be in 1..{cons.L}")
+    _value.index(s, cons.L, "sub-channel index", first=1)
     return float(_moments(base, cons)[0][s - 1])
 
 
@@ -145,8 +144,7 @@ class E0Evaluator:
             raise ValueError(f"kind must be one of {E0_KINDS}")
         self.kind = _E0_ALIASES.get(self.kind, self.kind)
         if self.kind == "Subchannel":
-            if self.s is None or not 1 <= self.s <= self.cons.L:
-                raise ValueError("Subchannel kind requires s in 1..L")
+            _value.index(self.s, self.cons.L, "sub-channel index", first=1)  # a missing s (None) is refused too
         elif self.s is not None:
             raise ValueError("s is only valid for the Subchannel kind")
         self._ens = get_ensemble(self.base, self.cons)
@@ -324,7 +322,7 @@ def qinv(eps: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class ExponentCurve(Value):
+class ExponentCurve(_value.Value):
     """Tabulated exponent-vs-rate curve, a ``_value.Value``; rates and values in bits."""
 
     kind: str

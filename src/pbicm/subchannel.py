@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelModel, Dmc, RayleighCsi, _dmc_index, density
+from .channel import ChannelModel, Dmc, RayleighCsi, density
 from .constellation import Constellation
-from . import kernels
+from . import _value, kernels
 
 LLR_MAX = 700.0
 
@@ -36,11 +36,6 @@ def label_sets(L: int) -> np.ndarray:
         out[i, 1] = lab[bit == 1]
     out.setflags(write=False)  # cached and shared: a write would change every later LLR
     return out
-
-
-def _check_index(cons: Constellation, i: int) -> None:
-    if not 1 <= i <= cons.L:
-        raise ValueError(f"sub-channel index must be in 1..{cons.L}, got {i}")
 
 
 def check_labeling(base: ChannelModel, cons: Constellation) -> None:
@@ -65,10 +60,8 @@ class WbarOutput:
     d: int
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("state s must be a 1-based sub-channel index")
-        if self.d not in (0, 1):
-            raise ValueError("dither bit must be 0 or 1")
+        _value.index(self.s, np.inf, "state s", first=1)  # llr_wbar checks s <= L
+        _value.bits(self.d, "dither bit")
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,7 @@ class SubchannelView:
     index: int
 
     def __post_init__(self):
-        _check_index(self.cons, self.index)
+        _value.index(self.index, self.cons.L, "sub-channel index", first=1)
         check_labeling(self.base, self.cons)
 
     def prob(self, y, b: int) -> float:
@@ -92,8 +85,7 @@ class SubchannelView:
 
 def subchannel_prob(view: SubchannelView, y, b: int) -> float:
     """W_i(y|b): equiprobable average of the base law ``channel.density`` over bit completions."""
-    if b not in (0, 1):
-        raise ValueError("conditioning bit must be 0 or 1")
+    b = int(_value.bits(b, "conditioning bit"))
     base, cons, i = view.base, view.cons, view.index
     labs = label_sets(cons.L)[i - 1, b]  # every completion of bit i = b
     inputs = cons.labels[labs] if isinstance(base, Dmc) else cons.symbols[labs]  # a Dmc input is a matrix row
@@ -102,7 +94,7 @@ def subchannel_prob(view: SubchannelView, y, b: int) -> float:
 
 def llr_bit(base: ChannelModel, cons: Constellation, i: int, y) -> float:
     """Log-likelihood ratio ln(W_i(y|0) / W_i(y|1)) of bit position i."""
-    _check_index(cons, i)
+    _value.index(i, cons.L, "sub-channel index", first=1)
     if isinstance(base, RayleighCsi):
         yv, h = y
         z = llr_matrix(base, cons, np.array([yv]), np.array([h]))
@@ -121,7 +113,7 @@ def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.nda
     nothing and gets LLR 0.
     """
     if isinstance(base, Dmc):
-        idx = _dmc_index(y, base.ny, "output outside channel support").ravel()
+        idx = _value.index(y, base.ny, "output outside channel support").ravel()
         log_rows = dmc_log_rows(base, cons)[:, idx]
         if np.any(np.all(log_rows == -np.inf, axis=0)):  # no input produces the output
             raise ValueError("output outside channel support")

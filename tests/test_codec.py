@@ -195,6 +195,32 @@ def test_state_validation():
         PbicmState(np.array([0, 2, 1]), np.zeros((2, 3), dtype=np.uint8))
 
 
+@pytest.mark.parametrize(
+    "s, d",
+    [
+        ([0.7, 1.2], [[0, 0], [1, 1]]),
+        ([0, 1], [[2, 0], [1, 0]]),
+        ([0, 1], np.array([[0, 0], [1, 256]])),
+    ],
+    ids=["float-states", "dither-2", "dither-256"],
+)
+def test_state_refuses_values_a_cast_would_change(s, d):
+    # states are cyclic shifts in {0..L-1} and dither bits in {0, 1}: 0.7 is not truncated, 256 not wrapped
+    with pytest.raises(ValueError, match="0/1 valued|not an integer"):
+        PbicmState(s, d)
+
+
+@pytest.mark.parametrize("bad", [2, 256, 0.7])
+def test_dither_refuses_a_value_that_is_not_a_bit(bad):
+    zeros = np.zeros(3, dtype=np.uint8)
+    other = np.array([0, bad, 1])
+    for bits, d in ((other, zeros), (zeros, other)):
+        with pytest.raises(ValueError, match="0/1 valued"):
+            apply_dither(bits, d)
+    with pytest.raises(ValueError, match="0/1 valued"):
+        remove_dither_llr(np.ones(3), other)  # d = 2 would scale an LLR by -3
+
+
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
@@ -428,6 +454,8 @@ def test_transmit_validation():
         pbicm_transmit(np.array([0]), code, state, Dmc(np.eye(4)), QPSK, make_rng(1))
     with pytest.raises(ValueError):
         pbicm_transmit(np.array([0, 16]), code, state, Dmc(np.eye(4)), QPSK, make_rng(1))
+    with pytest.raises(ValueError, match="message index"):
+        pbicm_transmit(np.array([0.7, 1.9]), code, state, Dmc(np.eye(4)), QPSK, make_rng(1))  # not truncated to [0, 1]
 
 
 def test_transmit_deterministic_given_rng():
@@ -707,6 +735,12 @@ def test_sim_config_refuses_a_count_that_is_not_an_integer(field, value):
 @pytest.mark.parametrize("k, n", [(5, 3), (-1, 3), (1, 0)])
 def test_wilson_ci_refuses_successes_outside_the_trials(k, n):
     with pytest.raises(ValueError, match=f"k = {k} outside 0..n for n = {n}"):
+        wilson_ci(k, n)
+
+
+@pytest.mark.parametrize("k, n", [(2.5, 10), (True, 10), (3, 10.0)])
+def test_wilson_ci_refuses_counts_that_are_not_integers(k, n):
+    with pytest.raises(ValueError, match="must be an integer"):
         wilson_ci(k, n)
 
 

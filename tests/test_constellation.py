@@ -90,6 +90,8 @@ def test_map_bits_validation():
         map_bits(cons, np.array([0, 1, 0]))
     with pytest.raises(ValueError):
         map_bits(cons, np.array([0, 2]))
+    with pytest.raises(ValueError, match="0/1 valued"):
+        map_bits(cons, np.array([0, 0.5]))  # refused before the symbol lookup
 
 
 def test_unknown_kind_and_labeling():

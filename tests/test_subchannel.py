@@ -3,6 +3,7 @@ import pytest
 
 from pbicm.channel import Awgn, Dmc, RayleighCsi, load_dmc, make_rng
 from pbicm.constellation import int_to_bits, make_constellation
+from pbicm.infotheory import E0Evaluator, capacity_subchannel
 from pbicm.subchannel import (
     LLR_MAX,
     SubchannelView,
@@ -82,6 +83,30 @@ def test_subchannel_prob_validates():
         subchannel_prob(SubchannelView(ch, QPSK, 1), 0, 2)
     with pytest.raises(ValueError):
         SubchannelView(Dmc(random_stochastic(np.random.default_rng(1), 2, 3)), QPSK, 1)
+
+
+@pytest.mark.parametrize("s", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda ch, s: capacity_subchannel(ch, QPSK, s),
+        lambda ch, s: E0Evaluator(ch, QPSK, "Subchannel", s).e0(0.5),
+        lambda ch, s: SubchannelView(ch, QPSK, s).llr(0),
+        lambda ch, s: llr_bit(ch, QPSK, s, 0),
+        lambda ch, s: llr_wbar(ch, QPSK, WbarOutput(0, s, 0)),
+    ],
+    ids=["capacity_subchannel", "E0Evaluator", "SubchannelView", "llr_bit", "WbarOutput"],
+)
+def test_subchannel_index_must_be_an_integer(entry, s):
+    # neither 1.5 nor True names a sub-channel: True is not read as sub-channel 1
+    with pytest.raises(ValueError, match="not an integer in 1.."):
+        entry(Dmc(random_stochastic(np.random.default_rng(1), 4, 3)), s)
+
+
+@pytest.mark.parametrize("b", [True, 1.0])
+def test_subchannel_prob_reads_any_0_1_bit(b):
+    view = SubchannelView(Dmc(random_stochastic(np.random.default_rng(1), 4, 3)), QPSK, 2)
+    assert view.prob(1, b) == view.prob(1, 1)
 
 
 def test_dmc_input_count_is_checked_once_everywhere():
