@@ -46,14 +46,14 @@ sub-channel is a two-row channel, W_s(y|0) and W_s(y|1)); the full-input
 information density is the sum of the axes', so its E[i] adds across the
 axes, and its 2**-E0 is the product of the axes' Gallager integrals.
 
-The moment pass (``moment_table``) reads the walk at R(0) in one gate loop
-that starts at ``LATTICE_STEP``/``GL_NODES`` and halves the step while
-doubling the fading nodes; a Dmc is exact.  It takes the moments of the
-deficit log2(k) - i of each k-row channel, which is near 0 where i is near
-its cap, and returns the capacities and dispersions the callers read.  E0 needs whole sums for many rho
-values: ``get_ensemble`` stores the walk at R(1), which serves every
-rho <= 1, and streams the walk at R(rho) for a larger rho.  An ensemble keeps
-its per-rho E0 integrals.  Channels and constellations are values, so
+The moment pass reads the walk at R(0), twice (``moment_table``): at
+``LATTICE_STEP``/``GL_NODES``, then at half the step with twice the fading
+nodes; a Dmc is exact and takes one.  It takes the moments of the deficit
+log2(k) - i of each k-row channel, which is near 0 where i is near its cap,
+and returns the capacities and dispersions the callers read.  E0 needs whole
+sums for many rho values: ``get_ensemble`` stores the walk at R(1), which
+serves every rho <= 1, and streams the walk at R(rho) for a larger rho.  An
+ensemble keeps its per-rho E0 integrals.  Channels and constellations are values, so
 ``functools.lru_cache`` keys the ensembles (here) and the gated moments
 (``infotheory._moments``) by the pair itself, 8 pairs each.
 """
@@ -73,16 +73,15 @@ from .subchannel import dmc_log_rows, label_sets
 
 LATTICE_STEP = 0.5  # output lattice step, in noise standard deviations sigma = sqrt(n0/2)
 GL_NODES = 64  # trapezoid nodes in ln|h|^2
-CONVERGENCE_TOL = 1e-4  # refinement acceptance gate
+CONVERGENCE_TOL = 1e-4  # the largest shift the two moment passes may show
 DEFICIT_SLOPE = 2.0  # K: each moment of a state of gain |h| is within K |h|^2 / n0 of the zero-gain state's
 FLOOR_BUDGET = 1e-5 * CONVERGENCE_TOL  # eps: the integral bound on what the fading floor moves a moment
-_MAX_DOUBLINGS = 3  # escalation cap before giving up
 
 LN2 = np.log(2.0)
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when refining the quadrature moves a result beyond tolerance."""
+    """Raised when a moment pass is not finite, or the two passes disagree beyond tolerance."""
 
 
 class Run(NamedTuple):
@@ -230,7 +229,7 @@ def get_ensemble(base: ChannelModel, cons: Constellation) -> Ensemble:
 
 
 # ---------------------------------------------------------------------------
-# Information-density moments (first and second, bits) with a refinement
+# Information-density moments (first and second, bits) with a two-pass
 # convergence gate for continuous channels.
 # ---------------------------------------------------------------------------
 
@@ -288,38 +287,33 @@ _MOMENT_NAMES = ("sub-channel capacities", "sub-channel dispersions", "full-inpu
 
 
 def moment_table(base: ChannelModel, cons: Constellation):
-    """Sub-channel capacities and dispersions and the full-input capacity, from one pass per resolution.
+    """Sub-channel capacities and dispersions and the full-input capacity, from two passes.
 
     Returns ``(c, v, cm)`` where ``c[s-1]`` is the sub-channel capacity
     C(W_s) in bits, ``v[s-1]`` the variance of its information density
     (bits^2), and ``cm = [C]`` for the full equiprobable input.  Each comes
     from the deficits of ``_moment_pass``, so ``c <= 1`` and ``cm <= L``.
-    Continuous channels are gated by refinement: starting from
-    ``LATTICE_STEP``/``GL_NODES``, the lattice step halves and the fading
-    nodes double until two successive passes agree within
-    ``CONVERGENCE_TOL`` (the finer result is returned), with at most
-    ``_MAX_DOUBLINGS`` escalations.  On Rayleigh every pass folds the
-    fading nodes below the same floor ``_fading_floor(n0)`` into one
-    zero-gain state, which moves each capacity by at most 2e-9 and each
-    dispersion by at most 6e-9.  ``QuadratureConvergenceError`` is raised
-    when the escalations run out, or at the first pass whose result is not
-    finite.
+    A Dmc is exact: one pass.  A continuous channel takes a pass at
+    ``LATTICE_STEP``/``GL_NODES`` and one at half the step with twice the
+    fading nodes, and returns the second if no quantity moved by more than
+    ``CONVERGENCE_TOL``; else ``QuadratureConvergenceError`` names the one
+    that moved most.  It is also raised at the first pass that is not
+    finite.  On Rayleigh both passes fold the fading nodes below
+    ``_fading_floor(n0)`` into one zero-gain state, which moves each
+    capacity by at most 2e-9 and each dispersion by at most 6e-9.
     """
-    res = None
-    for k in range(_MAX_DOUBLINGS + 1):
-        step, gl = LATTICE_STEP / 2**k, GL_NODES << k
-        fine = _moment_pass(base, cons, step, gl)
-        for name, v in zip(_MOMENT_NAMES, fine):
-            if not np.all(np.isfinite(v)):
-                # a finer rule cannot repair one that already yields NaN or inf
+    res = []
+    for step, gl in (LATTICE_STEP, GL_NODES), (LATTICE_STEP / 2, 2 * GL_NODES):
+        res.append(_moment_pass(base, cons, step, gl))
+        for name, v in zip(_MOMENT_NAMES, res[-1]):
+            if not np.all(np.isfinite(v)):  # a finer pass cannot repair one that yields NaN or inf
                 raise QuadratureConvergenceError(f"not finite: {name} at step={step:g}, gl={gl}")
         if isinstance(base, Dmc):
-            return fine  # exact: one pass
-        if res is not None:
-            worst = max(float(np.max(np.abs(a - b))) for a, b in zip(res, fine))
-            if worst <= CONVERGENCE_TOL:
-                return fine
-        res = fine
-    raise QuadratureConvergenceError(
-        f"refinement check failed at step={step:g}, gl={gl}: max shift {worst:.3e} > {CONVERGENCE_TOL:g}"
-    )
+            return res[0]  # exact: one pass
+    shift, name = max((float(np.max(np.abs(a - b))), name) for a, b, name in zip(*res, _MOMENT_NAMES))
+    if shift > CONVERGENCE_TOL:
+        raise QuadratureConvergenceError(
+            f"{name} moved {shift:.3e} between step={LATTICE_STEP:g}, gl={GL_NODES} and"
+            f" step={step:g}, gl={gl} (tolerance {CONVERGENCE_TOL:g})"
+        )
+    return res[1]

@@ -161,18 +161,19 @@ def make_state(L: int, n: int, rng: np.random.Generator) -> PbicmState:
 def interleave(B: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Cyclic per-column shift of the level axis of a (..., L, n) batch.
 
-    Output row l of column k is input row (l+s_k) mod L, with states ``s`` of
-    shape (..., n).  A zero state leaves the column untouched.
+    Output row l of column k is input row (l+s_k) mod L, with states ``s`` in
+    0..L-1 of shape (..., n).  A zero state leaves the column untouched.
     """
     B = np.asarray(B)
     L = B.shape[-2]
-    rows = (np.arange(L)[:, None] + np.asarray(s)[..., None, :]) % L
+    rows = (np.arange(L)[:, None] + _value.index(s, L, "states")[..., None, :]) % L
     return np.take_along_axis(B, rows, axis=-2)
 
 
 def deinterleave(Z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Inverse column shift of a (..., L, n) bit or LLR batch, states (..., n)."""
-    return interleave(Z, -np.asarray(s))
+    """Inverse column shift of a (..., L, n) bit or LLR batch, states (..., n) in 0..L-1."""
+    L = np.shape(Z)[-2]
+    return interleave(Z, (L - _value.index(s, L, "states")) % L)
 
 
 def apply_dither(bits: np.ndarray, d: np.ndarray) -> np.ndarray:

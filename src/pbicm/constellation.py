@@ -112,7 +112,7 @@ class Constellation(_value.Value):
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=complex)
-        labels = np.asarray(self.labels).astype(np.int64, casting="safe")
+        labels = _value.index(self.labels, 2**self.L, "labels").astype(np.int64)
         if points.shape != (2**self.L,) or labels.shape != (2**self.L,):
             raise ValueError("points/labels must have 2**L entries")
         if sorted(labels.tolist()) != list(range(2**self.L)):

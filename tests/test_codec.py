@@ -168,6 +168,17 @@ def test_label_rotation_and_flat_take_are_interleave_and_deinterleave(L, n, T, s
     np.testing.assert_array_equal(_deinterleaved_llrs(z[:, :n], S[0]), deinterleave(z[:, :n], S[0]))
 
 
+@pytest.mark.parametrize(
+    "s", [[0.0, 1.0, 2.0], [True, False, True], [5, 0, 1], [-1, 0, 1]], ids=["float", "bool", "5", "-1"]
+)
+def test_interleavers_refuse_states_that_are_not_cyclic_shifts(s):
+    # states are in {0..L-1}: a float is not an index, a bool not a shift, and 5 or -1 is not wrapped mod L
+    B = np.arange(9).reshape(3, 3)
+    for shift in (interleave, deinterleave):
+        with pytest.raises(ValueError, match="states: not an integer in 0..2"):
+            shift(B, s)
+
+
 def test_dither_involution():
     rng = np.random.default_rng(0)
     b = rng.integers(0, 2, size=(3, 9)).astype(np.uint8)

@@ -94,6 +94,15 @@ def test_map_bits_validation():
         map_bits(cons, np.array([0, 0.5]))  # refused before the symbol lookup
 
 
+@pytest.mark.parametrize(
+    "labels", [[True, False], [0.0, 1.0], [0, 2], [-1, 0], [0, 0]], ids=["bool", "float", "2", "-1", "repeat"]
+)
+def test_constellation_refuses_labels_that_are_not_a_bijection_of_indices(labels):
+    # a bool True is not label index 1 and a float 1.0 is not an index: neither is cast
+    with pytest.raises(ValueError, match="labels"):
+        Constellation("x", 1, [1, -1], labels)
+
+
 def test_unknown_kind_and_labeling():
     with pytest.raises(ValueError):
         make_constellation("QAM256")

@@ -587,10 +587,38 @@ def test_exponent_curve_csv(tmp_path):
 
 
 def test_moment_quadrature_raises_when_nodes_cannot_converge(monkeypatch):
-    # steps of 8, 4, 2 and 1 sigma: too coarse for two successive passes to agree
+    # steps of 8 and 4 sigma: too coarse for the two passes to agree, and the gate takes no third
+    passes = []
+    real_pass = _ensemble._moment_pass
+
+    def counted_pass(*args):
+        passes.append(args[2:])
+        return real_pass(*args)
+
     monkeypatch.setattr(_ensemble, "LATTICE_STEP", 8.0)
-    with pytest.raises(QuadratureConvergenceError):
+    monkeypatch.setattr(_ensemble, "_moment_pass", counted_pass)
+    with pytest.raises(QuadratureConvergenceError, match="between step=8, gl=64 and step=4, gl=128"):
         moment_table(Awgn(Snr(5.0).n0), make_constellation("QAM16"))
+    assert passes == [(8.0, 64), (4.0, 128)]
+
+
+def test_moment_quadrature_at_zero_tolerance_raises_after_two_passes_naming_a_quantity(monkeypatch):
+    # no two resolutions agree exactly: the gate raises after its second pass and says what moved
+    passes = []
+    real_pass = _ensemble._moment_pass
+
+    def counted_pass(*args):
+        passes.append(args[2:])
+        return real_pass(*args)
+
+    monkeypatch.setattr(_ensemble, "CONVERGENCE_TOL", 0.0)
+    monkeypatch.setattr(_ensemble, "_moment_pass", counted_pass)
+    with pytest.raises(QuadratureConvergenceError) as err:
+        moment_table(RayleighCsi(Snr(5.0).n0), QPSK)
+    assert passes == [(0.5, 64), (0.25, 128)]
+    msg = str(err.value)
+    assert any(msg.startswith(f"{name} moved ") for name in _ensemble._MOMENT_NAMES), msg
+    assert msg.endswith("(tolerance 0)"), msg
 
 
 def test_moment_quadrature_default_is_converged(monkeypatch):
