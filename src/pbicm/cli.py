@@ -2,8 +2,9 @@
 
 Subcommands: capacity, exponents, dispersion, ratebounds, simulate, verify,
 constellation.  A JSON --config file may supply defaults for any long option
-(keys use either dashes or underscores; each value is checked as if typed
-after its flag); explicit command-line flags win.
+(keys use either dashes or underscores; a value for a flag of the running
+subcommand is checked as if typed after its flag, any other is ignored);
+explicit command-line flags win.
 CSV floats carry 9 significant digits and sweep rows are emitted in sorted
 order, so reruns with the same inputs are byte-identical.  PBICM_WORKERS,
 a positive integer, sets the process count used for sweep points.
@@ -68,7 +69,8 @@ def _parse_list(flag: str, raw: str, kind) -> list:
 def _make_channel(args, snr_db: float | None):
     """The channel ``args`` name, at ``snr_db`` (None when no SNR was given) unless it is a Dmc.
 
-    A Dmc has no SNR: an --snr-db or --snr-sweep given with it is an error.
+    A Dmc has no SNR: an --snr-db or --snr-sweep given with it is an error,
+    as is a --dmc-file given with a continuous channel.
     """
     if args.channel == "dmc":
         for flag in ("snr_db", "snr_sweep"):
@@ -77,6 +79,8 @@ def _make_channel(args, snr_db: float | None):
         if not args.dmc_file:
             raise SystemExit("dmc channel requires --dmc-file")
         return load_dmc(args.dmc_file)
+    if args.dmc_file is not None:
+        raise ValueError(f"--dmc-file does not apply to the {args.channel} channel")
     if snr_db is None:
         flags = "--snr-db (or --snr-sweep)" if "snr_sweep" in vars(args) else "--snr-db"
         raise SystemExit(f"continuous channels require {flags}")
@@ -305,7 +309,7 @@ def _global_flags() -> argparse.ArgumentParser:
     flag that is not given out of the namespace, so a subcommand does not
     clobber a value given before it; ``main`` presets the absent ones.
     """
-    g = argparse.ArgumentParser(prog="pbicm", add_help=False, exit_on_error=False)
+    g = argparse.ArgumentParser(add_help=False)
     g.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="global RNG seed")
     g.add_argument("--out", default=argparse.SUPPRESS, help="output file (default stdout)")
     g.add_argument("--config", default=argparse.SUPPRESS, help="JSON file with flag defaults")
@@ -319,8 +323,8 @@ def _add_channel_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dmc-file", default=None)
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The pbicm parser; ``defaults`` (dest -> JSON value, from a --config file) replace subcommand flag defaults."""
+def build_parser() -> argparse.ArgumentParser:
+    """The pbicm parser: the global flags and one subparser per subcommand."""
     common = _global_flags()
     ap = argparse.ArgumentParser(prog="pbicm", description=__doc__, parents=[common])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -359,9 +363,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("constellation", parents=[common], help="dump a labeled constellation as JSON")
     p.add_argument("--constellation", choices=KINDS, required=True)
     p.set_defaults(fn=cmd_constellation)
-
-    for p in sub.choices.values():
-        p.set_defaults(**_config_defaults(p, defaults or {}))
     return ap
 
 
@@ -400,15 +401,16 @@ def _config_defaults(p: argparse.ArgumentParser, values: dict) -> dict:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        glob = _global_flags()
-        try:
-            given, _ = glob.parse_known_args(argv)
-        except argparse.ArgumentError:
-            given = argparse.Namespace()  # a malformed global flag: the full parse below reports it
-        values = _config_values(getattr(given, "config", None))
-        # a global flag that is not given takes the config's value, else None
-        start = argparse.Namespace(**{"seed": None, "out": None, "config": None, **_config_defaults(glob, values)})
-        args = build_parser({k: v for k, v in values.items() if k not in vars(start)}).parse_args(argv, start)
+        ap, start = build_parser(), {"seed": None, "out": None, "config": None}
+        # a first parse, without the config, names the command and the config file
+        given = ap.parse_args(argv, argparse.Namespace(**start))
+        p = next(a for a in ap._actions if a.dest == "command").choices[given.command]
+        values = _config_defaults(p, _config_values(given.config))  # checks the running command's flags only
+        # the config's global flags preset the namespace: as subcommand defaults they would clobber a flag
+        # given before the command
+        p.set_defaults(**{k: v for k, v in values.items() if k not in start})
+        start.update((k, v) for k, v in values.items() if k in start)
+        args = ap.parse_args(argv, argparse.Namespace(**start))
         return args.fn(args)
     except OSError as exc:
         # an input file that cannot be read or an output that cannot be written

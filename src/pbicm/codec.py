@@ -201,31 +201,26 @@ def ml_decode(code: BinaryCode, z: np.ndarray) -> int:
 def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
     """ML message of every length-n row of a (..., n) LLR batch, lowest index on ties.
 
-    The rows are scored against all M codewords in float32 a block of rows at
-    a time, each block GEMMed into one reused buffer of about ``_SCORE_BLOCK``
-    entries, so memory stays bounded whatever M and the batch size are.  The
-    float32 winner of a row stands when it leads the runner-up by more than
-    twice a bound on how far a float32 score can be from the float64 one; it
-    is then also the unique float64 winner.  Any other row (a near tie, or an
-    LLR that is not finite) is rescored in float64, so the decisions, ties
-    included, are those of float64 scores.  Codes of at most
-    ``_FLOAT64_MAX_M`` codewords skip float32 and score every row in float64.
-    The float64 sign matrix is ``signs32_t`` converted where it is needed,
-    and the code keeps none.
+    The rows are scored against all M codewords a block of rows at a time,
+    each block GEMMed into one reused score buffer, so memory stays bounded
+    whatever M and the batch size are.  Codes of at most ``_FLOAT64_MAX_M``
+    codewords are scored in float64.  Larger codes are scored in float32:
+    the float32 winner of a row stands when it leads the runner-up by more
+    than twice a bound on how far a float32 score can be from the float64
+    one, and is then also the unique float64 winner; any other row (a near
+    tie, or an LLR that is not finite) is rescored in float64.  So for every
+    code the decisions, ties included, are those of float64 scores.
     """
     if Z.shape[-1] != code.n:
         raise ValueError(f"LLR rows have length {Z.shape[-1]}, but the code blocklength is {code.n}")
     rows = Z.reshape(-1, code.n)
-    R, step = len(rows), max(1, _SCORE_BLOCK // code.M)
+    exact = code.M <= _FLOAT64_MAX_M
+    dtype = np.float64 if exact else np.float32
+    signs = code.signs32_t.astype(dtype, copy=False)  # +-1 is exact in both
+    # 1 MiB float64 blocks for small codes: as fast as 8 MiB ones, and a lower peak RSS
+    R, step = len(rows), max(1, _SCORE_BLOCK // (8 * code.M if exact else code.M))
     out = np.empty(R, dtype=np.intp)
-    if code.M <= _FLOAT64_MAX_M:
-        step = max(1, _SCORE_BLOCK // (8 * code.M))  # 1 MiB blocks: as fast as 8 MiB ones, and a lower peak RSS
-        signs = code.signs32_t.astype(np.float64)  # +-1 is exact in both
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(0, R, step):
-                (rows[k : k + step] @ signs).argmax(axis=-1, out=out[k : k + step])
-        return out.reshape(Z.shape[:-1])
-    buf = np.empty((min(step, R), code.M), dtype=np.float32)
+    buf = np.empty((min(step, R), code.M), dtype=dtype)
     # Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1: a
     # length-n dot product in unit roundoff u is off by at most g_n sum|x_j y_j|
     # in any summation order, g_n = n u / (1 - n u) <= 1.01 n u for n u <= 0.01.
@@ -240,12 +235,14 @@ def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
     # (sum|z| > 2^127).
     scale = 2 * (code.n + 2) * (2.0**-24 + 2.0**-53) if code.n <= 0.01 * 2**24 else np.inf
     tiny = 2 * (code.n + 1) * 2.0**-126
-    with np.errstate(over="ignore", invalid="ignore"):  # LLRs that are not finite are rescored
+    with np.errstate(over="ignore", invalid="ignore"):  # LLRs that are not finite score in float64
         for k in range(0, R, step):
             block = rows[k : k + step]
             scores = buf[: len(block)]  # the last block may be short
-            np.matmul(block.astype(np.float32), code.signs32_t, out=scores)
+            np.matmul(block.astype(dtype, copy=False), signs, out=scores)
             best = scores.argmax(axis=-1, out=out[k : k + step])
+            if exact:
+                continue
             at = np.arange(len(block))
             gap = scores[at, best].astype(np.float64)
             scores[at, best] = -np.inf
@@ -419,6 +416,8 @@ class PbicmSimConfig:
 def wilson_ci(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion: k successes in n trials."""
     k, n = _integer("successes k", k), _integer("trials n", n)
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be finite and positive, got {z}")
     if not 0 <= k <= n:
         raise ValueError(f"successes k = {k} outside 0..n for n = {n} trials")
     if n == 0:

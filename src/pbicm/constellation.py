@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _value
+from .channel import _integer
 
 
 def _gray(k: np.ndarray) -> np.ndarray:
@@ -111,7 +112,11 @@ class Constellation(_value.Value):
     axes: tuple[Axis, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if _integer("L", self.L) < 1:
+            raise ValueError(f"L must be >= 1, got {self.L}")
         points = np.asarray(self.points, dtype=complex)
+        if not np.all(np.isfinite(points)):
+            raise ValueError("points must be finite")
         labels = _value.index(self.labels, 2**self.L, "labels").astype(np.int64)
         if points.shape != (2**self.L,) or labels.shape != (2**self.L,):
             raise ValueError("points/labels must have 2**L entries")

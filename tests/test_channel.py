@@ -258,13 +258,16 @@ def test_load_dmc_json_nested_rows(tmp_path):
         ("ch.json", '{"nx": 2, "ny": 2, "matrix": [[0.9, "x"], [0.1, 0.9]]}', "matrix"),
         ("ch.csv", "", "header"),
         ("ch.csv", "2,2\n0.9,0.1\n", "matrix"),
+        ("ch.csv", "2,2\n0.9,0.1\n\xff,0.9\n", "not a text file"),
+        ("ch.json", '{"nx": 2, "ny": 2, "matrix": 5}', "matrix: expected a list, got 5"),
+        ("ch.csv", "2,2\n0.9,0.2\n0.1,0.9\n", "matrix: Dmc matrix must be row-stochastic"),
     ],
     ids=["json-syntax", "csv-header-names", "csv-header-one-value", "csv-entry", "json-count", "json-entry",
-         "csv-empty", "csv-shape"],
+         "csv-empty", "csv-shape", "not-utf8", "json-matrix-not-a-list", "csv-not-stochastic"],
 )
 def test_malformed_dmc_file_names_the_file_and_the_field(tmp_path, name, content, field):
     f = tmp_path / name
-    f.write_text(content)
+    f.write_bytes(content.encode("latin-1"))  # latin-1 writes "\xff" as one byte, which is not UTF-8
     with pytest.raises(ValueError) as err:
         load_dmc(f)
     assert str(err.value).startswith(f"{f}: {field}")

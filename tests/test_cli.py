@@ -321,10 +321,12 @@ SIM_SPEC_WITHOUT_TRIALS = json.dumps(
     [
         ("capacity", None, ["cfg.json"]),
         ("capacity", '{"snr-db": 5', ["cfg.json"]),
+        ("capacity", "[5]", ["cfg.json", "expected a JSON object of flag defaults"]),
         ("simulate", None, ["sim.json"]),
         ("simulate", SIM_SPEC_WITHOUT_TRIALS, ["sim.json", "'trials'"]),
     ],
-    ids=["missing_config", "malformed_config", "missing_sim_config", "sim_config_without_trials"],
+    ids=["missing_config", "malformed_config", "config_not_an_object", "missing_sim_config",
+         "sim_config_without_trials"],
 )
 def test_bad_input_file_exits_with_one_line(tmp_path, command, content, named):
     if command == "capacity":
@@ -490,6 +492,15 @@ def test_config_values_are_checked_like_typed_flags(tmp_path, command, config, f
     assert not out.exists()
 
 
+def test_config_value_for_a_flag_of_another_command_is_ignored(tmp_path):
+    # capacity has no --rate-points; only exponents checks the value
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"rate-points": 2.5}))
+    assert main(["capacity", "--snr-db", "5", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = run_csv(out)
+    assert [r[0] for r in rows] == ["5"]
+
+
 @pytest.mark.parametrize(
     "command, config, column, value",
     [
@@ -573,6 +584,20 @@ def test_snr_given_for_a_dmc_exits_naming_the_flag(tmp_path, argv, flag):
         main(argv + ["--constellation", "BPSK", "--channel", "dmc", "--dmc-file", str(f), "--out", str(out)])
     msg = err.value.code
     assert isinstance(msg, str) and "\n" not in msg and flag in msg and "dmc" in msg
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["capacity", "exponents", "dispersion", "ratebounds"])
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+def test_dmc_file_given_for_a_continuous_channel_exits_naming_the_flag(tmp_path, command, channel):
+    # a file that would go unread is refused, as an SNR given with a Dmc is
+    f = tmp_path / "bsc.csv"
+    save_dmc(bsc(0.1), f)
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--constellation", "BPSK", "--channel", channel, "--snr-db", "5", "--dmc-file", str(f),
+              "--out", str(out)])
+    assert err.value.code == f"--dmc-file does not apply to the {channel} channel"
     assert not out.exists()
 
 

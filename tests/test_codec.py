@@ -755,6 +755,13 @@ def test_wilson_ci_refuses_counts_that_are_not_integers(k, n):
         wilson_ci(k, n)
 
 
+@pytest.mark.parametrize("z", [-1.96, 0.0, np.nan, np.inf])
+def test_wilson_ci_refuses_a_z_that_is_not_finite_and_positive(z):
+    # z = -1.96 would give (0.763, 0.237), a lower end above the upper one, and z = nan (0.0, 1.0)
+    with pytest.raises(ValueError, match="z must be finite and positive"):
+        wilson_ci(5, 10, z=z)
+
+
 def test_wilson_ci_reference_values():
     lo, hi = wilson_ci(5, 10)
     assert lo == pytest.approx(0.236593090512564, abs=1e-12)

@@ -103,6 +103,27 @@ def test_constellation_refuses_labels_that_are_not_a_bijection_of_indices(labels
         Constellation("x", 1, [1, -1], labels)
 
 
+@pytest.mark.parametrize(
+    "points", [[np.inf, -1], [np.nan, -1], [1, complex(0, -np.inf)]], ids=["inf", "nan", "imaginary-inf"]
+)
+def test_constellation_refuses_points_that_are_not_finite(points):
+    # an infinite point would give capacity_cm = 1.0 on Awgn(0.5), with only a RuntimeWarning
+    with pytest.raises(ValueError, match="points must be finite"):
+        Constellation("x", 1, points, [0, 1])
+
+
+@pytest.mark.parametrize("L", [0, -1, 1.0, True, "1"], ids=["0", "-1", "float", "bool", "string"])
+def test_constellation_refuses_bits_per_symbol_that_are_not_an_integer_of_at_least_one(L):
+    # with L = 0 and one point, capacity_cm would fail on a zero-size array
+    with pytest.raises(ValueError, match="L must be"):
+        Constellation("x", L, [1], [0])
+
+
+def test_constellation_refuses_too_few_points_for_its_bits():
+    with pytest.raises(ValueError, match=r"points/labels must have 2\*\*L entries"):
+        Constellation("x", 2, [1, -1], [0, 1])
+
+
 def test_unknown_kind_and_labeling():
     with pytest.raises(ValueError):
         make_constellation("QAM256")
