@@ -35,10 +35,10 @@ is circularly symmetric), so each node is a channel state with the points
 scaled by |h|.  The moment pass folds the nodes below a floor u0(n0)
 (``_fading_floor``) into one zero-gain state, which moves a capacity by at
 most 2e-9; E0, which the deep fades rule at large rho, keeps them all.  The
-other channels have one unit state.  ``_outputs`` walks
-an axis's outputs in runs of channel states, each run's outputs grouped by
-state, and one sum, ``kernels.log_subchannel``, turns every label's log
-density there into the sub-channel laws.
+other channels have one unit state.  ``_outputs`` walks an axis's outputs
+in runs of channel states, each run's outputs grouped by state; one sum,
+``kernels.log_subchannel``, turns every label's log density there into the
+sub-channel laws, and ``_per_state`` joins the runs' sums by state.
 
 The axes are combined inside each channel state: a sub-channel's moments and
 E0 come from its axis, by the same sums as the axis's full input (a
@@ -48,21 +48,22 @@ axes, and its 2**-E0 is the product of the axes' Gallager integrals.
 
 The moment pass reads the walk at R(0), twice (``moment_table``): at
 ``LATTICE_STEP``/``GL_NODES``, then at half the step with twice the fading
-nodes; a Dmc is exact and takes one.  It takes the moments of the deficit
-log2(k) - i of each k-row channel, which is near 0 where i is near its cap,
-and returns the capacities and dispersions the callers read.  E0 needs whole
-sums for many rho values: ``get_ensemble`` stores the walk at R(1), which
-serves every rho <= 1, and streams the walk at R(rho) for a larger rho.  An
-ensemble keeps its per-rho E0 integrals.  Channels and constellations are values, so
-``functools.lru_cache`` keys the ensembles (here) and the gated moments
-(``infotheory._moments``) by the pair itself, 8 pairs each.
+nodes; a Dmc's outputs depend on neither, so its two passes are the same.
+It takes the moments of the deficit log2(k) - i of each k-row channel,
+which is near 0 where i is near its cap, and returns the capacities and
+dispersions the callers read.  E0 needs whole sums for many rho values:
+``get_ensemble`` stores the walk at R(1), which serves every rho <= 1, and
+streams the walk at R(rho) for a larger rho.  An ensemble keeps its per-rho
+E0 integrals.  Channels and constellations are values, so ``lru_cache``
+keys the ensembles (here) and the gated moments (``infotheory._moments``)
+by the pair itself, 8 pairs each.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -85,9 +86,8 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 class Run(NamedTuple):
-    """An axis's outputs in a run of channel states, grouped by state."""
+    """An axis's outputs in a run of consecutive channel states, grouped by state."""
 
-    states: slice  # the run's channel states
     starts: np.ndarray  # (F',) index of each state's first output
     cell: float  # the weight of every output
     log_rows: np.ndarray  # (ma, N) log densities by axis label
@@ -148,7 +148,7 @@ def _outputs(
     if isinstance(base, Dmc):
         rows = dmc_log_rows(base, cons)
         rows = rows[:, (rows > -np.inf).any(axis=0)]
-        yield Run(slice(0, 1), np.zeros(1, dtype=np.intp), 1.0, rows, kernels.log_subchannel(rows, sets))
+        yield Run(np.zeros(1, dtype=np.intp), 1.0, rows, kernels.log_subchannel(rows, sets))
         return
     pts = axis.points
     ma, d = pts.shape
@@ -170,7 +170,12 @@ def _outputs(
         f, j, g = np.nonzero(keep)
         counts = np.bincount(f, minlength=len(c))
         log_rows = kernels.log_densities((lo[f, j] + grid[g]) * cell, scale[st][f], pts, base.n0)
-        yield Run(st, np.cumsum(counts) - counts, cell**d, log_rows, kernels.log_subchannel(log_rows, sets))
+        yield Run(np.cumsum(counts) - counts, cell**d, log_rows, kernels.log_subchannel(log_rows, sets))
+
+
+def _per_state(runs: Iterable[Run], sums: Callable[[Run], np.ndarray]) -> np.ndarray:
+    """(..., F): each run's ``sums`` (..., F') over its states' outputs, times its cell, joined in state order."""
+    return np.concatenate([run.cell * sums(run) for run in runs], axis=-1)
 
 
 @dataclass
@@ -186,9 +191,9 @@ class Ensemble:
     mary_e0: dict[float, float] = field(default_factory=dict)  # rho -> 2**-E0(rho), full input
 
     def _axis_runs(self, rho: float) -> Iterable[tuple[Axis, Iterable[Run]]]:
-        """Each axis with its outputs within R(rho): the stored runs up to rho = 1 (or for a Dmc), else streamed."""
+        """Each axis with its outputs within R(rho): stored up to rho = 1, else streamed (for a Dmc, the same run)."""
         axes = _axes(self.base, self.cons)
-        if rho <= 1.0 or isinstance(self.base, Dmc):
+        if rho <= 1.0:
             return zip(axes, self.stored)
         r = _radius(self.cons.m, rho)
         return ((axis, _outputs(self.base, self.cons, axis, self.scale, LATTICE_STEP, r)) for axis in axes)
@@ -198,10 +203,8 @@ class Ensemble:
         v = self.sub_e0.get(rho)
         if v is None:
             v = np.zeros(self.cons.L)
-            for axis, runs in self._axis_runs(rho):
-                g = np.empty((axis.L, len(self.weight)))
-                for run in runs:  # one two-row Gallager sum serves all the axis's bits
-                    g[:, run.states] = run.cell * kernels.e0_mary_integral(run.log_sub.swapaxes(0, 1), run.starts, rho)
+            for axis, runs in self._axis_runs(rho):  # one two-row Gallager sum serves all the axis's bits
+                g = _per_state(runs, lambda run: kernels.e0_mary_integral(run.log_sub.swapaxes(0, 1), run.starts, rho))
                 v[list(axis.bits)] = g @ self.weight
             self.sub_e0[rho] = v
         return v
@@ -210,12 +213,10 @@ class Ensemble:
         """2**-E0(rho) of the full equiprobable input, computed once per rho."""
         v = self.mary_e0.get(rho)
         if v is None:
-            g = np.ones(len(self.weight))  # the axes are independent given the state: their integrals multiply
+            g = 1.0  # the axes are independent given the state: their integrals multiply
             for _, runs in self._axis_runs(rho):
-                for run in runs:
-                    g[run.states] *= run.cell * kernels.e0_mary_integral(run.log_rows, run.starts, rho)
-            v = float(g @ self.weight)
-            self.mary_e0[rho] = v
+                g = g * _per_state(runs, lambda run: kernels.e0_mary_integral(run.log_rows, run.starts, rho))
+            self.mary_e0[rho] = v = float(g @ self.weight)
         return v
 
 
@@ -223,23 +224,40 @@ class Ensemble:
 def get_ensemble(base: ChannelModel, cons: Constellation) -> Ensemble:
     """The E0 ensemble of (base, cons) at ``LATTICE_STEP``/``GL_NODES``; the 8 latest are kept."""
     scale, w = _fading_nodes(base, GL_NODES)
-    r = _radius(cons.m, 1.0)
-    runs = [list(_outputs(base, cons, axis, scale, LATTICE_STEP, r)) for axis in _axes(base, cons)]
+    runs = [list(_outputs(base, cons, axis, scale, LATTICE_STEP, _radius(cons.m, 1.0))) for axis in _axes(base, cons)]
     return Ensemble(base, cons, scale, w, runs)
 
 
 # ---------------------------------------------------------------------------
-# Information-density moments (first and second, bits) with a two-pass
-# convergence gate for continuous channels.
+# Information-density moments (first and second, bits) with a two-pass gate.
 # ---------------------------------------------------------------------------
+
+
+def _deficit_sums(run: Run) -> np.ndarray:
+    """(2 La + 1, F') per state of ``run``: the sums of E[d] and E[d^2] of each axis bit, then of E[d] of the label."""
+    La = len(run.log_sub)
+    d = np.concatenate([run.log_sub.reshape(2 * La, -1), run.log_rows])
+    p = np.exp(d)
+    np.subtract(np.logaddexp(run.log_sub[0, 0], run.log_sub[0, 1]) - LN2, d, out=d)  # log pbar - log W
+    d /= LN2
+    d[: 2 * La] += 1.0  # log2(2) - i of the bit rows
+    d[2 * La :] += La  # log2(ma) - i of the label rows
+    np.maximum(d, 0.0, out=d)
+    np.copyto(d, 0.0, where=p == 0.0)  # a Dmc row that cannot produce y adds nothing (W log W -> 0)
+    p *= d  # W d
+    bit = p[: 2 * La]
+    e1 = 0.5 * (bit[0::2] + bit[1::2])
+    bit *= d[: 2 * La]  # W d^2 of the bit rows
+    law = np.concatenate([e1, 0.5 * (bit[0::2] + bit[1::2]), p[2 * La :].mean(0)[None]])
+    return np.add.reduceat(law, run.starts, axis=1)
 
 
 def _moment_pass(base: ChannelModel, cons: Constellation, step: float, gl: int):
     """``moment_table``'s result from one pass over every axis's outputs within R(0), one run of channel states at a time.
 
     On an axis, a channel of k equiprobable rows W_r has the information
-    density i_r = log2(W_r / pbar) and its deficit
-    d_r = log2(k) - i_r = log2(sum_r' W_r' / W_r) >= 0.  E[d] is
+    density i_r = log2(W_r / pbar), pbar the mean of any bit's two laws, and
+    its deficit d_r = log2(k) - i_r = log2(sum_r' W_r' / W_r) >= 0.  E[d] is
     sum_j w_j (1/k) sum_r W_r(y_j) d_r(y_j), the capacity is log2(k) - E[d],
     and the variance of i is that of d.  The rows are the two laws of each
     axis bit (k = 2), whose E[d^2] the pass also takes, and the axis labels
@@ -259,27 +277,10 @@ def _moment_pass(base: ChannelModel, cons: Constellation, step: float, gl: int):
         scale, w = np.append(scale[keep], 0.0), np.append(w[keep], w[~keep].sum())
     c, v, cm = np.zeros(cons.L), np.zeros(cons.L), np.full(1, float(cons.L))
     for axis in _axes(base, cons):
-        La = axis.L
-        mom = np.empty((len(scale), 2 * La + 1))  # per state: E[d], E[d^2] of each axis bit; E[d] of the label
-        for st, starts, cell, log_rows, log_sub in _outputs(base, cons, axis, scale, step, _radius(cons.m, 0.0)):
-            d = np.concatenate([log_sub.reshape(2 * La, -1), log_rows])
-            p = np.exp(d)
-            np.subtract(kernels.log_mean(log_rows, 0), d, out=d)
-            d /= LN2
-            d[: 2 * La] += 1.0  # log2(2) - i of the bit rows
-            d[2 * La :] += La  # log2(ma) - i of the label rows
-            np.maximum(d, 0.0, out=d)
-            np.copyto(d, 0.0, where=p == 0.0)  # a Dmc row that cannot produce y adds nothing (W log W -> 0)
-            p *= d  # W d
-            bit = p[: 2 * La]
-            e1 = 0.5 * (bit[0::2] + bit[1::2])
-            bit *= d[: 2 * La]  # W d^2 of the bit rows
-            law = np.concatenate([e1, 0.5 * (bit[0::2] + bit[1::2]), p[2 * La :].mean(0)[None]])
-            mom[st] = cell * np.add.reduceat(law, starts, axis=1).T
-        tot = w @ mom
-        mean_d = tot[:La]
-        c[list(axis.bits)], v[list(axis.bits)] = 1.0 - mean_d, tot[La : 2 * La] - mean_d * mean_d
-        cm -= tot[2 * La]
+        tot = _per_state(_outputs(base, cons, axis, scale, step, _radius(cons.m, 0.0)), _deficit_sums) @ w
+        mean_d, mean_d2, label_d = np.split(tot, [axis.L, 2 * axis.L])
+        c[list(axis.bits)], v[list(axis.bits)] = 1.0 - mean_d, mean_d2 - mean_d * mean_d
+        cm -= label_d
     return c, v, cm
 
 
@@ -293,9 +294,9 @@ def moment_table(base: ChannelModel, cons: Constellation):
     C(W_s) in bits, ``v[s-1]`` the variance of its information density
     (bits^2), and ``cm = [C]`` for the full equiprobable input.  Each comes
     from the deficits of ``_moment_pass``, so ``c <= 1`` and ``cm <= L``.
-    A Dmc is exact: one pass.  A continuous channel takes a pass at
-    ``LATTICE_STEP``/``GL_NODES`` and one at half the step with twice the
-    fading nodes, and returns the second if no quantity moved by more than
+    It takes a pass at ``LATTICE_STEP``/``GL_NODES`` and one at half the
+    step with twice the fading nodes (a Dmc's two are the same exact sums),
+    and returns the second if no quantity moved by more than
     ``CONVERGENCE_TOL``; else ``QuadratureConvergenceError`` names the one
     that moved most.  It is also raised at the first pass that is not
     finite.  On Rayleigh both passes fold the fading nodes below
@@ -308,8 +309,6 @@ def moment_table(base: ChannelModel, cons: Constellation):
         for name, v in zip(_MOMENT_NAMES, res[-1]):
             if not np.all(np.isfinite(v)):  # a finer pass cannot repair one that yields NaN or inf
                 raise QuadratureConvergenceError(f"not finite: {name} at step={step:g}, gl={gl}")
-        if isinstance(base, Dmc):
-            return res[0]  # exact: one pass
     shift, name = max((float(np.max(np.abs(a - b))), name) for a, b, name in zip(*res, _MOMENT_NAMES))
     if shift > CONVERGENCE_TOL:
         raise QuadratureConvergenceError(

@@ -46,6 +46,8 @@ class Dmc(_value.Value):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ValueError("Dmc matrix must be 2-D")
+        if 0 in m.shape:
+            raise ValueError(f"Dmc matrix must have at least one row and one column, got shape {m.shape}")
         if np.any(m < 0) or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("Dmc matrix must be row-stochastic")
         self._store(matrix=m)
@@ -199,7 +201,8 @@ def load_dmc(path: str | Path) -> Dmc:
     either a flat row-major list of nx*ny probabilities or nx nested rows of
     ny, each a JSON number (not a bool or a string).
     CSV: header line ``nx,ny`` followed by exactly nx rows of ny probabilities.
-    Every parse failure raises ValueError naming the file and the field.
+    nx and ny must be at least 1.  Every parse failure raises ValueError
+    naming the file and the field.
     """
     path = Path(path)
     if path.suffix not in (".json", ".csv"):
@@ -230,6 +233,9 @@ def load_dmc(path: str | Path) -> Dmc:
         nx, ny = (_parse(path, "header", int, v) for v in lines[0])
         values = [[_parse(path, f"row {i}", float, v) for v in row] for i, row in enumerate(lines[1:], 1)]
         fits = [len(r) for r in values] == [ny] * nx
+    for key, n in (("nx", nx), ("ny", ny)):
+        if n < 1:
+            raise ValueError(f"{path}: {key}: must be at least 1, got {n}")
     if not fits:
         raise ValueError(f"{path}: matrix: Dmc file shape does not match header nx={nx}, ny={ny}")
     try:

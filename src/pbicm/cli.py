@@ -3,7 +3,8 @@
 Subcommands: capacity, exponents, dispersion, ratebounds, simulate, verify,
 constellation.  A JSON --config file may supply defaults for any long option
 (keys use either dashes or underscores; a value for a flag of the running
-subcommand is checked as if typed after its flag, any other is ignored);
+subcommand is checked as if typed after its flag, any other is ignored, as
+is one for a flag the channel does not take, such as --snr-db with a Dmc);
 explicit command-line flags win.
 CSV floats carry 9 significant digits and sweep rows are emitted in sorted
 order, so reruns with the same inputs are byte-identical.  PBICM_WORKERS,
@@ -66,21 +67,26 @@ def _parse_list(flag: str, raw: str, kind) -> list:
         raise ValueError(f"{flag} must be a comma-separated list of {kind.__name__}s, got {raw!r}") from None
 
 
+def _foreign_flags(args) -> list[str]:
+    """The flags of ``args`` that its channel does not take: a Dmc's SNR flags, a continuous channel's --dmc-file."""
+    if "channel" not in vars(args):
+        return []
+    return [k for k in (("snr_db", "snr_sweep") if args.channel == "dmc" else ("dmc_file",)) if k in vars(args)]
+
+
 def _make_channel(args, snr_db: float | None):
     """The channel ``args`` name, at ``snr_db`` (None when no SNR was given) unless it is a Dmc.
 
     A Dmc has no SNR: an --snr-db or --snr-sweep given with it is an error,
     as is a --dmc-file given with a continuous channel.
     """
+    for flag in _foreign_flags(args):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to the {args.channel} channel")
     if args.channel == "dmc":
-        for flag in ("snr_db", "snr_sweep"):
-            if vars(args).get(flag) is not None:
-                raise ValueError(f"--{flag.replace('_', '-')} does not apply to the dmc channel")
         if not args.dmc_file:
             raise SystemExit("dmc channel requires --dmc-file")
         return load_dmc(args.dmc_file)
-    if args.dmc_file is not None:
-        raise ValueError(f"--dmc-file does not apply to the {args.channel} channel")
     if snr_db is None:
         flags = "--snr-db (or --snr-sweep)" if "snr_sweep" in vars(args) else "--snr-db"
         raise SystemExit(f"continuous channels require {flags}")
@@ -411,6 +417,8 @@ def main(argv=None) -> int:
         p.set_defaults(**{k: v for k, v in values.items() if k not in start})
         start.update((k, v) for k, v in values.items() if k in start)
         args = ap.parse_args(argv, argparse.Namespace(**start))
+        for k in _foreign_flags(args):  # a config value the channel does not take is dropped; a typed one is refused
+            setattr(args, k, getattr(given, k))
         return args.fn(args)
     except OSError as exc:
         # an input file that cannot be read or an output that cannot be written

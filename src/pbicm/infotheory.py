@@ -292,6 +292,9 @@ def exponent_gaussian_approx(c: float, v: float, rate: float) -> float:
     """Quadratic exponent approximation (c - rate)^2 / (2 v ln 2), bits."""
     if not (math.isfinite(v) and v > 0):
         raise ValueError(f"dispersion must be finite and positive, got {v}")
+    for name, x in (("capacity", c), ("rate", rate)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
     return (c - rate) ** 2 / (2.0 * v * math.log(2.0))
 
 
@@ -354,5 +357,7 @@ def exponent_curve(
     rates = np.asarray(rates, dtype=float)
     if kind not in CURVE_KINDS:
         raise ValueError(f"kind must be one of {CURVE_KINDS}")
+    if rates.ndim != 1:
+        raise ValueError(f"rates must be a 1-D grid, got shape {rates.shape}")
     at = _CURVES[kind](base, cons)
     return ExponentCurve(kind, rates, np.array([at(r) for r in rates]))

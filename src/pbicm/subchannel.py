@@ -110,8 +110,11 @@ def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.nda
     axis's bits from that axis's coordinates.  With fading, y h*/|h| is
     |h| x plus noise of the same law, so its real and imaginary parts are
     the axis coordinates and |h| the gain; an output with h = 0 carries
-    nothing and gets LLR 0.
+    nothing and gets LLR 0.  A RayleighCsi base needs ``h`` and any other
+    base refuses it.
     """
+    if (h is None) == isinstance(base, RayleighCsi):
+        raise ValueError(f"{type(base).__name__} base {'needs' if h is None else 'takes no'} fading coefficients h")
     if isinstance(base, Dmc):
         idx = _value.index(y, base.ny, "output outside channel support").ravel()
         log_rows = dmc_log_rows(base, cons)[:, idx]

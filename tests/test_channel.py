@@ -297,6 +297,32 @@ def test_dmc_json_reads_counts_and_entries_only_as_json_numbers(tmp_path, conten
     np.testing.assert_array_equal(load_dmc(f).matrix, np.eye(2))
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0), (2, 0)])
+def test_dmc_refuses_an_empty_matrix(shape):
+    # a 0-row channel would pass the row-sum check, and its capacity divide by zero
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        Dmc(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "name, content, field",
+    [
+        ("ch.csv", "0,2\n", "nx"),
+        ("ch.csv", "-1,2\n", "nx"),
+        ("ch.csv", "2,0\n", "ny"),
+        ("ch.json", '{"nx": 0, "ny": 2, "matrix": []}', "nx"),
+        ("ch.json", '{"nx": 1, "ny": 0, "matrix": [[]]}', "ny"),
+    ],
+    ids=["csv-no-rows", "csv-negative-rows", "csv-no-columns", "json-no-rows", "json-no-columns"],
+)
+def test_dmc_file_with_a_count_below_one_names_the_file_and_the_field(tmp_path, name, content, field):
+    f = tmp_path / name
+    f.write_text(content)
+    with pytest.raises(ValueError) as err:
+        load_dmc(f)
+    assert str(err.value).startswith(f"{f}: {field}: must be at least 1, got ")
+
+
 def test_dmc_is_a_value():
     m = random_stochastic(np.random.default_rng(5), 3, 4)
     ch = Dmc(m)

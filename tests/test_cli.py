@@ -601,6 +601,61 @@ def test_dmc_file_given_for_a_continuous_channel_exits_naming_the_flag(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [{"snr-db": 5}, {"snr-sweep": "0:10:3"}, {"snr-db": 5, "dmc-file": "x.csv"}])
+def test_config_snr_for_a_dmc_is_ignored(tmp_path, config):
+    # one config can serve a Dmc and a continuous channel: only a typed flag is refused
+    f = tmp_path / "bsc.csv"
+    save_dmc(bsc(0.1), f)
+    cfg, out, want = tmp_path / "c.json", tmp_path / "o.csv", tmp_path / "want.csv"
+    cfg.write_text(json.dumps(config))
+    main(["capacity", "--constellation", "BPSK", "--channel", "dmc", "--dmc-file", str(f), "--out", str(want)])
+    assert main(["capacity", "--constellation", "BPSK", "--channel", "dmc", "--dmc-file", str(f),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == want.read_text()
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+def test_config_dmc_file_for_a_continuous_channel_is_ignored(tmp_path, channel):
+    cfg, out, want = tmp_path / "c.json", tmp_path / "o.csv", tmp_path / "want.csv"
+    cfg.write_text(json.dumps({"dmc-file": str(tmp_path / "bsc.csv")}))
+    argv = ["capacity", "--constellation", "BPSK", "--channel", channel, "--snr-db", "3"]
+    main(argv + ["--out", str(want)])
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text() == want.read_text()
+
+
+def test_one_config_serves_a_dmc_and_a_continuous_channel(tmp_path):
+    f = tmp_path / "bsc.csv"
+    save_dmc(bsc(0.1), f)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"constellation": "BPSK", "snr-db": 5, "dmc-file": str(f)}))
+    for channel in ("dmc", "awgn"):
+        out = tmp_path / f"{channel}.csv"
+        assert main(["capacity", "--channel", channel, "--config", str(cfg), "--out", str(out)]) == 0
+        head, rows = run_csv(out)
+        assert head[:2] == ["snr_db", "c_cm_bits"] and len(rows) == 1
+        assert rows[0][0] == ("nan" if channel == "dmc" else "5")
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ({"channel": "dmc", "dmc-file": "{f}"}, ["--snr-db", "3"], "--snr-db does not apply to the dmc channel"),
+        ({"channel": "awgn", "snr-db": 3}, ["--dmc-file", "{f}"], "--dmc-file does not apply to the awgn channel"),
+    ],
+)
+def test_flag_typed_against_the_config_channel_is_refused(tmp_path, config, argv, message):
+    f = tmp_path / "bsc.csv"
+    save_dmc(bsc(0.1), f)
+    cfg, out = tmp_path / "c.json", tmp_path / "o.csv"
+    cfg.write_text(json.dumps({k: str(v).format(f=f) for k, v in config.items()}))
+    with pytest.raises(SystemExit) as err:
+        main(["capacity", "--constellation", "BPSK", "--config", str(cfg), "--out", str(out)]
+             + [a.format(f=f) for a in argv])
+    assert err.value.code == message
+    assert not out.exists()
+
+
 def test_dmc_file_without_a_key_exits_with_one_line(tmp_path):
     f = tmp_path / "bsc.json"
     f.write_text('{"W": [[0.9, 0.1], [0.1, 0.9]]}')
@@ -627,3 +682,12 @@ def test_empty_dmc_csv_exits_with_one_line(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip().splitlines() == [f"{f}: header: expected a first line 'nx,ny'"]
+
+
+def test_dmc_csv_with_only_a_header_exits_naming_the_count(tmp_path):
+    # a 0 x 2 channel used to load and end with "Dmc input count must equal 2**L"
+    f = tmp_path / "header.csv"
+    f.write_text("0,2\n")
+    with pytest.raises(SystemExit) as err:
+        main(["capacity", "--constellation", "BPSK", "--channel", "dmc", "--dmc-file", str(f)])
+    assert err.value.code == f"{f}: nx: must be at least 1, got 0"

@@ -489,6 +489,24 @@ def test_gaussian_exponent_approximation():
     assert 0.9 < ratio < 1.1
 
 
+@pytest.mark.parametrize("c, rate", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, -math.inf)])
+def test_gaussian_exponent_approximation_refuses_a_non_finite_capacity_or_rate(c, rate):
+    # (c - rate)^2 would be returned as nan or inf, not refused
+    name = "capacity" if not math.isfinite(c) else "rate"
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        exponent_gaussian_approx(c, 0.5, rate)
+
+
+@pytest.mark.parametrize("rates", [[[0.1, 0.2]], 0.1], ids=["2-D", "scalar"])
+def test_exponent_curve_refuses_rates_that_are_not_a_1d_grid_before_any_work(monkeypatch, rates):
+    def no_evaluator(*args):
+        raise AssertionError("an E0 evaluator was built")
+
+    monkeypatch.setattr(infotheory, "e0_evaluator", no_evaluator)
+    with pytest.raises(ValueError, match="rates must be a 1-D grid"):
+        exponent_curve(Awgn(Snr(5.0).n0), QPSK, "RandomCoding", rates)
+
+
 # ---------------------------------------------------------------------------
 # gaussian tail utilities
 # ---------------------------------------------------------------------------
@@ -672,6 +690,25 @@ def test_moment_table_takes_two_passes(monkeypatch, cons_name, channel, snr_db):
     assert passes == [(step, gl), (step / 2, 2 * gl)]
     for v, want in zip(got, real_pass(base, cons, step / 4, 4 * gl), strict=True):
         np.testing.assert_allclose(v, want, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dmc_moment_passes_are_identical(monkeypatch, seed):
+    # a Dmc's outputs depend on no lattice step or fading node: its two passes are the same exact sums
+    base, cons = Dmc(random_stochastic(np.random.default_rng(seed), 8, 5)), make_constellation("PSK8")
+    passes = []
+    real_pass = _ensemble._moment_pass
+
+    def kept_pass(*args):
+        passes.append(real_pass(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(_ensemble, "_moment_pass", kept_pass)
+    got = moment_table(base, cons)
+    assert len(passes) == 2
+    for first, second, v in zip(*passes, got, strict=True):
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(v, second)
 
 
 FIVE = ("BPSK", "QPSK", "PSK8", "QAM16", "QAM64")

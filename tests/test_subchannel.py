@@ -202,6 +202,21 @@ def test_llr_matrix_matches_scalar_calls():
         assert z[0, k] == pytest.approx(llr_bit(ray, QPSK, 1, (y[k], h[k])), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "base, y, h, message",
+    [
+        (RayleighCsi(0.5), np.array([0.3 + 0.2j]), None, "RayleighCsi base needs fading coefficients"),
+        (Awgn(0.5), np.array([0.3 + 0.2j]), np.array([0.1]), "Awgn base takes no fading coefficients"),
+        (Dmc(np.array([[0.9, 0.1], [0.2, 0.8]])), np.array([0]), np.array([1.0]), "Dmc base takes no fading"),
+    ],
+    ids=["rayleigh_without_h", "awgn_with_h", "dmc_with_h"],
+)
+def test_llr_matrix_refuses_a_fading_coefficient_that_does_not_match_the_base(base, y, h, message):
+    # a Rayleigh output without its gain would be demapped at unit gain, an AWGN one with a gain faded
+    with pytest.raises(ValueError, match=message):
+        llr_matrix(base, BPSK if isinstance(base, Dmc) else QPSK, y, h)
+
+
 @pytest.mark.parametrize("kind", ["awgn", "rayleigh", "dmc"])
 def test_llr_matrix_agrees_with_direct_ratio(kind):
     # the batched demapper against the scalar sub-channel law, for every base
