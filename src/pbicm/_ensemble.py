@@ -9,7 +9,10 @@ rest, each bit's sub-channel law is the law of its axis alone and the axes
 of one label are independent: BPSK, QPSK, QAM16 and QAM64 run as 1-D PAM
 axes with real noise of variance n0/2.  PSK8 does not split and runs as one
 2-D axis, and a Dmc base, whose law is given per label, is one axis over all
-bits.
+bits.  An axis's law is fixed by its points, whatever bits it carries: the I
+and Q axes of QPSK, QAM16 and QAM64 are one PAM channel, so the pipeline
+walks each distinct axis once and hands its numbers to every copy
+(``_axes``).
 
 An axis is one set of outputs with plain weights, so that every integral
 over outputs is a weighted sum.  A Dmc axis is its output alphabet with unit
@@ -44,7 +47,8 @@ The axes are combined inside each channel state: a sub-channel's moments and
 E0 come from its axis, by the same sums as the axis's full input (a
 sub-channel is a two-row channel, W_s(y|0) and W_s(y|1)); the full-input
 information density is the sum of the axes', so its E[i] adds across the
-axes, and its 2**-E0 is the product of the axes' Gallager integrals.
+axes, and its 2**-E0 is the product of the axes' Gallager integrals, a
+distinct axis counting once per copy.
 
 The moment pass reads the walk at R(0), twice (``moment_table``): at
 ``LATTICE_STEP``/``GL_NODES``, then at half the step with twice the fading
@@ -86,7 +90,7 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 class Run(NamedTuple):
-    """An axis's outputs in a run of consecutive channel states, grouped by state."""
+    """A distinct axis's outputs in a run of consecutive channel states, grouped by state; they serve each copy."""
 
     starts: np.ndarray  # (F',) index of each state's first output
     cell: float  # the weight of every output
@@ -126,11 +130,21 @@ def _fading_floor(n0: float) -> float:
     return 0.5 * math.log(2.0 * FLOOR_BUDGET * n0 / DEFICIT_SLOPE)
 
 
-def _axes(base: ChannelModel, cons: Constellation) -> tuple[Axis, ...]:
-    """The axes the pipeline runs on: the constellation's, or for a Dmc one axis over all bits."""
+def _axes(base: ChannelModel, cons: Constellation) -> list[tuple[Axis, np.ndarray]]:
+    """The distinct axes the pipeline walks, each with the (k, La) bit positions of the k axes that share its points.
+
+    An axis's law is fixed by its points: ``bits`` and ``dims`` only place it
+    in the label and the plane, and every real coordinate has the same noise
+    and fading gain.  So the axes with equal points (shape and bytes), the I
+    and Q axes of QPSK and square QAM, are one walk whose numbers serve each
+    copy; any other axis is a group of one.  A Dmc is one axis over all bits.
+    """
     if isinstance(base, Dmc):
-        return (Axis(tuple(range(cons.L)), (), np.empty((cons.m, 0))),)
-    return cons.axes
+        return [(Axis(tuple(range(cons.L)), (), np.empty((cons.m, 0))), np.arange(cons.L)[None])]
+    groups: dict[tuple, tuple[Axis, list[tuple[int, ...]]]] = {}
+    for axis in cons.axes:
+        groups.setdefault((axis.points.shape, axis.points.tobytes()), (axis, []))[1].append(axis.bits)
+    return [(axis, np.array(bits)) for axis, bits in groups.values()]
 
 
 def _outputs(
@@ -180,32 +194,32 @@ def _per_state(runs: Iterable[Run], sums: Callable[[Run], np.ndarray]) -> np.nda
 
 @dataclass
 class Ensemble:
-    """The E0 integrals of (base, cons): stored outputs within R(1) per axis, streamed ones beyond rho = 1."""
+    """The E0 integrals of (base, cons): stored outputs within R(1) per distinct axis, streamed ones beyond rho = 1."""
 
     base: ChannelModel
     cons: Constellation
     scale: np.ndarray  # (F,) |h| of each channel state
     weight: np.ndarray  # (F,) probability weight of each channel state
-    stored: list[list[Run]]  # per axis, its runs within R(1)
+    stored: list[list[Run]]  # per distinct axis (``_axes``), its runs within R(1)
     sub_e0: dict[float, np.ndarray] = field(default_factory=dict)  # rho -> 2**-E0_s(rho), all s
     mary_e0: dict[float, float] = field(default_factory=dict)  # rho -> 2**-E0(rho), full input
 
-    def _axis_runs(self, rho: float) -> Iterable[tuple[Axis, Iterable[Run]]]:
-        """Each axis with its outputs within R(rho): stored up to rho = 1, else streamed (for a Dmc, the same run)."""
+    def _axis_runs(self, rho: float) -> Iterable[tuple[np.ndarray, Iterable[Run]]]:
+        """Each distinct axis's copies' bits with its outputs within R(rho): stored up to rho = 1, else streamed."""
         axes = _axes(self.base, self.cons)
         if rho <= 1.0:
-            return zip(axes, self.stored)
+            return ((bits, runs) for (_, bits), runs in zip(axes, self.stored))
         r = _radius(self.cons.m, rho)
-        return ((axis, _outputs(self.base, self.cons, axis, self.scale, LATTICE_STEP, r)) for axis in axes)
+        return ((bits, _outputs(self.base, self.cons, axis, self.scale, LATTICE_STEP, r)) for axis, bits in axes)
 
     def sub_integrals(self, rho: float) -> np.ndarray:
         """2**-E0_s(rho) for every sub-channel, computed once per rho."""
         v = self.sub_e0.get(rho)
         if v is None:
             v = np.zeros(self.cons.L)
-            for axis, runs in self._axis_runs(rho):  # one two-row Gallager sum serves all the axis's bits
+            for bits, runs in self._axis_runs(rho):  # one two-row Gallager sum serves every copy's bits
                 g = _per_state(runs, lambda run: kernels.e0_mary_integral(run.log_sub.swapaxes(0, 1), run.starts, rho))
-                v[list(axis.bits)] = g @ self.weight
+                v[bits] = g @ self.weight
             self.sub_e0[rho] = v
         return v
 
@@ -214,8 +228,10 @@ class Ensemble:
         v = self.mary_e0.get(rho)
         if v is None:
             g = 1.0  # the axes are independent given the state: their integrals multiply
-            for _, runs in self._axis_runs(rho):
-                g = g * _per_state(runs, lambda run: kernels.e0_mary_integral(run.log_rows, run.starts, rho))
+            for bits, runs in self._axis_runs(rho):
+                axis_g = _per_state(runs, lambda run: kernels.e0_mary_integral(run.log_rows, run.starts, rho))
+                for _ in bits:
+                    g = g * axis_g
             self.mary_e0[rho] = v = float(g @ self.weight)
         return v
 
@@ -224,7 +240,8 @@ class Ensemble:
 def get_ensemble(base: ChannelModel, cons: Constellation) -> Ensemble:
     """The E0 ensemble of (base, cons) at ``LATTICE_STEP``/``GL_NODES``; the 8 latest are kept."""
     scale, w = _fading_nodes(base, GL_NODES)
-    runs = [list(_outputs(base, cons, axis, scale, LATTICE_STEP, _radius(cons.m, 1.0))) for axis in _axes(base, cons)]
+    r = _radius(cons.m, 1.0)
+    runs = [list(_outputs(base, cons, axis, scale, LATTICE_STEP, r)) for axis, _ in _axes(base, cons)]
     return Ensemble(base, cons, scale, w, runs)
 
 
@@ -253,7 +270,7 @@ def _deficit_sums(run: Run) -> np.ndarray:
 
 
 def _moment_pass(base: ChannelModel, cons: Constellation, step: float, gl: int):
-    """``moment_table``'s result from one pass over every axis's outputs within R(0), one run of channel states at a time.
+    """``moment_table``'s result from one pass over each distinct axis's outputs within R(0), a run of states at a time.
 
     On an axis, a channel of k equiprobable rows W_r has the information
     density i_r = log2(W_r / pbar), pbar the mean of any bit's two laws, and
@@ -276,11 +293,12 @@ def _moment_pass(base: ChannelModel, cons: Constellation, step: float, gl: int):
         keep = scale >= math.exp(_fading_floor(base.n0) / 2)
         scale, w = np.append(scale[keep], 0.0), np.append(w[keep], w[~keep].sum())
     c, v, cm = np.zeros(cons.L), np.zeros(cons.L), np.full(1, float(cons.L))
-    for axis in _axes(base, cons):
+    for axis, bits in _axes(base, cons):
         tot = _per_state(_outputs(base, cons, axis, scale, step, _radius(cons.m, 0.0)), _deficit_sums) @ w
         mean_d, mean_d2, label_d = np.split(tot, [axis.L, 2 * axis.L])
-        c[list(axis.bits)], v[list(axis.bits)] = 1.0 - mean_d, mean_d2 - mean_d * mean_d
-        cm -= label_d
+        c[bits], v[bits] = 1.0 - mean_d, mean_d2 - mean_d * mean_d
+        for _ in bits:  # each copy of the axis adds its deficit to the label's
+            cm -= label_d
     return c, v, cm
 
 

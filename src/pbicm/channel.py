@@ -36,6 +36,19 @@ class Snr:
             raise ValueError(f"SNR of {self.value_db} dB is too low: noise level overflows") from None
 
 
+def _stochastic(matrix) -> np.ndarray:
+    """``matrix`` as a float array, or a ValueError unless it is 2-D, not empty and row-stochastic."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValueError("Dmc matrix must be 2-D")
+    if 0 in m.shape:
+        raise ValueError(f"Dmc matrix must have at least one row and one column, got shape {m.shape}")
+    # each row sum within 1e-9 + 1e-5 of 1 (np.allclose's tolerance); a NaN fails the test
+    if m.min() < 0 or not np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9 + 1e-5:
+        raise ValueError("Dmc matrix must be row-stochastic")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class Dmc(_value.Value):
     """Discrete memoryless channel, a ``_value.Value``; inputs are row indices of ``matrix``."""
@@ -43,14 +56,7 @@ class Dmc(_value.Value):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("Dmc matrix must be 2-D")
-        if 0 in m.shape:
-            raise ValueError(f"Dmc matrix must have at least one row and one column, got shape {m.shape}")
-        if np.any(m < 0) or not np.allclose(m.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("Dmc matrix must be row-stochastic")
-        self._store(matrix=m)
+        self._store(matrix=_stochastic(self.matrix))
 
     @property
     def nx(self) -> int:

@@ -132,6 +132,42 @@ def test_runs_of_states_do_not_change_multi_axis_results(monkeypatch, name):
         np.testing.assert_array_equal(per_state[key], default[key], err_msg=key)
 
 
+def _squashed_qam16() -> Constellation:
+    q = make_constellation("QAM16")
+    return Constellation("QAM16", 4, q.points.real + 0.5j * q.points.imag, q.labels)
+
+
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("name, distinct", [("QPSK", 1), ("QAM16", 1), ("QAM64", 1), ("QAM16-squashed", 2)])
+def test_axes_with_equal_points_are_walked_once_bit_for_bit(monkeypatch, name, distinct, kind):
+    # the I and Q axes of QPSK and square QAM have the same points, so one
+    # walk serves both; a QAM16 whose Q axis is scaled by 0.5 walks both.
+    # Walking every axis on its own must give the same bits
+    cons, base = (_squashed_qam16() if name == "QAM16-squashed" else make_constellation(name)), _channel(kind)
+    walked = []
+    real_outputs = _ensemble._outputs
+
+    def counted_outputs(base, cons, axis, *args):
+        walked.append(axis.bits)
+        return real_outputs(base, cons, axis, *args)
+
+    def results():
+        ens = _ensemble.get_ensemble.__wrapped__(base, cons)
+        e0 = [f(rho) for rho in (0.3, 1.0, 3.0) for f in (ens.sub_integrals, ens.mary_integral)]
+        return len(ens.stored), [*_ensemble.moment_table(base, cons), *e0]
+
+    monkeypatch.setattr(_ensemble, "_outputs", counted_outputs)
+    stored, grouped = results()
+    # per distinct axis: the stored R(1) walk, two streamed R(3) walks and two moment passes
+    assert stored == distinct and len(walked) == 5 * distinct
+    monkeypatch.setattr(_ensemble, "_axes", lambda base, cons: [(a, np.array([a.bits])) for a in cons.axes])
+    walked.clear()
+    stored, per_axis = results()
+    assert stored == 2 and len(walked) == 10
+    for got, want in zip(grouped, per_axis, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_rayleigh_qam64_llrs_match_subchannel_law():
     cons, base = make_constellation("QAM64"), RayleighCsi(0.2)
     y, h = _outputs(n=300, seed=4)

@@ -136,3 +136,31 @@ def test_zero_probability_outputs_are_ignored():
     m1, m2 = dmc.information_moments(P)
     assert np.isfinite(m1) and np.isfinite(m2)
     assert dmc.capacity(P) > 0
+
+
+ENTRY_POINTS = {
+    "information_moments": dmc.information_moments,
+    "capacity": dmc.capacity,
+    "dispersion": dmc.dispersion,
+    "e0": lambda P: dmc.e0(P, 1.0),
+    "random_coding_exponent": lambda P: dmc.random_coding_exponent(P, 0.1),
+    "sphere_packing_exponent": lambda P: dmc.sphere_packing_exponent(P, 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_matrix_with_no_rows_is_refused(entry):
+    with pytest.raises(ValueError, match="at least one row"):
+        ENTRY_POINTS[entry](np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_matrix_with_no_columns_is_refused(entry):
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        ENTRY_POINTS[entry](np.zeros((2, 0)))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_rows_that_are_not_distributions_are_refused(entry):
+    with pytest.raises(ValueError, match="row-stochastic"):
+        ENTRY_POINTS[entry]([[0.5, 0.2], [0.1, 0.9]])
