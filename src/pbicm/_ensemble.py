@@ -156,7 +156,9 @@ def _outputs(
     A Gaussian axis has the lattice of step ``step`` sigma kept within
     ``radius`` sigma of some scaled point, per coordinate.  Each point
     contributes the lattice nodes of its box that no earlier point's box
-    holds, so a state's outputs are its points' boxes in label order.
+    holds, so a state's outputs are its points' boxes in label order.  The
+    test holds every node of every box against every box, per coordinate:
+    (F', ma, G, ma, d) booleans, which size a run.
     """
     sets = label_sets(axis.L)
     if isinstance(base, Dmc):
@@ -167,23 +169,18 @@ def _outputs(
     pts = axis.points
     ma, d = pts.shape
     cell = step * math.sqrt(base.n0 / 2)  # the lattice step in output units
-    off = np.arange(int(2 * radius / step) + 1)  # lattice offsets in a box, per coordinate
-    grid = np.indices((len(off),) * d).reshape(d, -1).T  # (G, d) offsets in a box
-    run = max(1, kernels.BLOCK_ENTRIES // (ma * ma * len(grid)))  # the box test below is (F', ma, G, ma)
+    grid = np.indices((int(2 * radius / step) + 1,) * d).reshape(d, -1).T  # (G, d) lattice offsets in a box
+    run = max(1, kernels.BLOCK_ENTRIES // (ma * ma * len(grid) * d))
     for a in range(0, len(scale), run):
         st = slice(a, a + run)
         c = scale[st, None, None] * pts / cell  # (F', ma, d) points in lattice units
         lo, hi = np.ceil(c - radius / step), np.floor(c + radius / step)  # each point's box of lattice indices
-        # node lo_j + g of point j's box lies in point k's box iff lo_k - lo_j <= g <= hi_k - lo_j per coordinate
-        inside = np.ones((len(c), ma, 1, ma), dtype=bool)
-        for r in range(d):
-            lo_k, hi_k = (v[:, None, None, None, :, r] - lo[:, :, None, None, None, r] for v in (lo, hi))
-            inside = inside[:, :, :, None] & (lo_k <= off[:, None]) & (off[:, None] <= hi_k)
-            inside = inside.reshape(len(c), ma, -1, ma)
+        nodes = lo[:, :, None, None] + grid[:, None]  # (F', ma, G, 1, d) the nodes of each point's box
+        inside = ((lo[:, None, None] <= nodes) & (nodes <= hi[:, None, None])).all(-1)  # (F', ma, G, ma)
         keep = (inside.argmax(-1) == np.arange(ma)[:, None]) & inside.any(-1)  # the first box holding the node
         f, j, g = np.nonzero(keep)
         counts = np.bincount(f, minlength=len(c))
-        log_rows = kernels.log_densities((lo[f, j] + grid[g]) * cell, scale[st][f], pts, base.n0)
+        log_rows = kernels.log_densities(nodes[f, j, g, 0] * cell, scale[st][f], pts, base.n0)
         yield Run(np.cumsum(counts) - counts, cell**d, log_rows, kernels.log_subchannel(log_rows, sets))
 
 
@@ -200,16 +197,15 @@ class Ensemble:
     cons: Constellation
     scale: np.ndarray  # (F,) |h| of each channel state
     weight: np.ndarray  # (F,) probability weight of each channel state
-    stored: list[list[Run]]  # per distinct axis (``_axes``), its runs within R(1)
+    stored: list[tuple[np.ndarray, list[Run]]]  # per distinct axis (``_axes``), its copies' bits and runs within R(1)
     sub_e0: dict[float, np.ndarray] = field(default_factory=dict)  # rho -> 2**-E0_s(rho), all s
     mary_e0: dict[float, float] = field(default_factory=dict)  # rho -> 2**-E0(rho), full input
 
     def _axis_runs(self, rho: float) -> Iterable[tuple[np.ndarray, Iterable[Run]]]:
         """Each distinct axis's copies' bits with its outputs within R(rho): stored up to rho = 1, else streamed."""
-        axes = _axes(self.base, self.cons)
         if rho <= 1.0:
-            return ((bits, runs) for (_, bits), runs in zip(axes, self.stored))
-        r = _radius(self.cons.m, rho)
+            return self.stored
+        r, axes = _radius(self.cons.m, rho), _axes(self.base, self.cons)
         return ((bits, _outputs(self.base, self.cons, axis, self.scale, LATTICE_STEP, r)) for axis, bits in axes)
 
     def sub_integrals(self, rho: float) -> np.ndarray:
@@ -241,8 +237,8 @@ def get_ensemble(base: ChannelModel, cons: Constellation) -> Ensemble:
     """The E0 ensemble of (base, cons) at ``LATTICE_STEP``/``GL_NODES``; the 8 latest are kept."""
     scale, w = _fading_nodes(base, GL_NODES)
     r = _radius(cons.m, 1.0)
-    runs = [list(_outputs(base, cons, axis, scale, LATTICE_STEP, r)) for axis, _ in _axes(base, cons)]
-    return Ensemble(base, cons, scale, w, runs)
+    stored = [(bits, list(_outputs(base, cons, axis, scale, LATTICE_STEP, r))) for axis, bits in _axes(base, cons)]
+    return Ensemble(base, cons, scale, w, stored)
 
 
 # ---------------------------------------------------------------------------

@@ -165,15 +165,23 @@ def interleave(B: np.ndarray, s: np.ndarray) -> np.ndarray:
     0..L-1 of shape (..., n).  A zero state leaves the column untouched.
     """
     B = np.asarray(B)
-    L = B.shape[-2]
+    L = _levels(B, s)
     rows = (np.arange(L)[:, None] + _value.index(s, L, "states")[..., None, :]) % L
     return np.take_along_axis(B, rows, axis=-2)
 
 
 def deinterleave(Z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Inverse column shift of a (..., L, n) bit or LLR batch, states (..., n) in 0..L-1."""
-    L = np.shape(Z)[-2]
+    L = _levels(Z, s)
     return interleave(Z, (L - _value.index(s, L, "states")) % L)
+
+
+def _levels(B, s) -> int:
+    """L of a (..., L, n) batch whose states ``s`` are (..., n), or a ValueError naming both shapes."""
+    shape = np.shape(B)
+    if len(shape) < 2 or np.shape(s) != shape[:-2] + shape[-1:]:
+        raise ValueError(f"states of shape {np.shape(s)} do not match a (..., L, n) batch of shape {shape}")
+    return shape[-2]
 
 
 def apply_dither(bits: np.ndarray, d: np.ndarray) -> np.ndarray:

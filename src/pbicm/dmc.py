@@ -55,7 +55,10 @@ def dispersion(P: np.ndarray, prior=None) -> float:
 
 
 def e0(P: np.ndarray, rho: float, prior=None) -> float:
-    """Gallager E0(rho) in bits: -log2 sum_y (sum_x p_x W^{1/(1+rho)})^{1+rho}."""
+    """Gallager E0(rho) in bits: -log2 sum_y (sum_x p_x W^{1/(1+rho)})^{1+rho}, for a finite rho >= 0."""
+    rho = float(rho)
+    if not 0.0 <= rho < np.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho!r}")
     P = _stochastic(P)
     return _e0(P, _prior(P, prior), rho)
 

@@ -144,9 +144,9 @@ def e0_mary_integral(logd, starts, rho):
     The group of state f starts at output ``starts[f]``; returns (..., F).
     """
     q = 1.0 / (1.0 + rho)
-    # accumulate row by row (the order mean(axis=0) adds in): an (m, ..., N)
-    # temporary per call is large enough for malloc to map and fault it in
-    # anew on every call
+    # row by row, in a fixed order, keeps E0 bit-stable: np.exp(q * logd).mean(0)
+    # changed 8 of 900 E0 integrals over a grid of channels, all on Dmc bases
+    # of 8 to 64 labels, by up to 2e-14 relative
     t = np.exp(q * logd[0])
     for row in logd[1:]:
         t += np.exp(q * row)

@@ -110,8 +110,8 @@ def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.nda
     axis's bits from that axis's coordinates.  With fading, y h*/|h| is
     |h| x plus noise of the same law, so its real and imaginary parts are
     the axis coordinates and |h| the gain; an output with h = 0 carries
-    nothing and gets LLR 0.  A RayleighCsi base needs ``h`` and any other
-    base refuses it.
+    nothing and gets LLR 0.  A RayleighCsi base needs ``h``, one
+    coefficient per output, and any other base refuses it.
     """
     if (h is None) == isinstance(base, RayleighCsi):
         raise ValueError(f"{type(base).__name__} base {'needs' if h is None else 'takes no'} fading coefficients h")
@@ -127,6 +127,8 @@ def llr_matrix(base: ChannelModel, cons: Constellation, y: np.ndarray, h: np.nda
         coords, gain = y.view(np.float64).reshape(-1, 2), None
     else:
         h = np.asarray(h, dtype=complex).ravel()
+        if h.size != y.size:
+            raise ValueError(f"fading coefficients h: {h.size} given for {y.size} outputs, want one per output")
         gain = np.abs(h)
         coords = np.zeros((y.size, 2))
         rot = y * h.conj()

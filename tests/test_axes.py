@@ -6,6 +6,8 @@ at the same resolution, it must agree with the same pipeline run on the whole
 constellation as one 2-D axis up to rounding: the plane's output lattice is
 the product of its axes' lattices.
 """
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -198,3 +200,56 @@ def test_qam16_rayleigh_quadrature_converges(snr_db):
     rep = infotheory.dispersion_report(base, cons)
     assert infotheory.capacity_cm(base, cons) >= rep.c_pbicm - _ensemble.CONVERGENCE_TOL
     assert np.isfinite(infotheory.e0_evaluator(base, cons, "WbarCombined").e0(1.0))
+
+
+def _walk_reference(points, scale, n0, step, radius):
+    """The walk's outputs by enumeration: each point's box of lattice indices in label order, its nodes in
+    offset order (first coordinate slowest), a node kept only if no earlier point's box holds it."""
+    cell = step * np.sqrt(n0 / 2)
+    nodes, gains, starts, dropped = [], [], [], []
+    for s in scale:
+        boxes = [
+            [(math.ceil(s * x / cell - radius / step), math.floor(s * x / cell + radius / step)) for x in p]
+            for p in points
+        ]
+        starts.append(len(nodes))
+        drop = 0
+        for j, box in enumerate(boxes):
+            for node in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+                if any(all(lo <= i <= hi for i, (lo, hi) in zip(node, boxes[k])) for k in range(j)):
+                    drop += 1
+                else:
+                    nodes.append(node)
+                    gains.append(s)
+        dropped.append(drop)
+    return np.array(nodes, dtype=float) * cell, np.array(gains), np.array(starts), dropped
+
+
+def _walk_axis(name):
+    if name == "uneven-2d":  # four points in the plane at unequal distances
+        return Axis((0, 1), (0, 1), np.array([[0.0, 0.0], [1.3, 0.2], [-0.4, 0.9], [0.7, -1.1]]))
+    return make_constellation(name).axes[0]
+
+
+@pytest.mark.parametrize("rho", [0.0, 3.0])
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("name", ["BPSK", "QAM16", "PSK8", "uneven-2d"])
+def test_walk_matches_enumerated_boxes(name, kind, rho):
+    # the lattice walk keeps each node of a point's box unless an earlier
+    # point's box holds it; the outputs, their order and their log densities
+    # must be exactly those of enumerating the boxes one node at a time
+    axis, base = _walk_axis(name), _channel(kind)
+    # Rayleigh: a near-zero gain, where every box overlaps, to one high enough that none does
+    scale = np.ones(1) if kind == "awgn" else np.array([1e-3, 0.4, 1.5, 40.0])
+    radius = _ensemble._radius(len(axis.points), rho)
+    cons = make_constellation("QPSK")  # read only for a Dmc base
+    runs = list(_ensemble._outputs(base, cons, axis, scale, STEP, radius))
+    y, h, starts, dropped = _walk_reference(axis.points, scale, base.n0, STEP, radius)
+    sizes = np.cumsum([0] + [run.log_rows.shape[1] for run in runs])
+    np.testing.assert_array_equal(np.concatenate([run.starts + n for run, n in zip(runs, sizes)]), starts)
+    np.testing.assert_array_equal(
+        np.concatenate([run.log_rows for run in runs], axis=1), kernels.log_densities(y, h, axis.points, base.n0)
+    )
+    assert all(run.cell == (STEP * np.sqrt(base.n0 / 2)) ** axis.points.shape[1] for run in runs)
+    if kind == "rayleigh":
+        assert dropped[0] > 0 and dropped[-1] == 0

@@ -136,6 +136,22 @@ def test_interleave_single_level_is_identity():
     np.testing.assert_array_equal(interleave(B, np.zeros(6, dtype=int)), B)
 
 
+@pytest.mark.parametrize("shift", [interleave, deinterleave])
+@pytest.mark.parametrize(
+    "B, s, message",
+    [
+        (np.zeros((2, 3)), np.array([0, 1]), r"states of shape \(2,\) do not match .* batch of shape \(2, 3\)"),
+        (np.zeros((2, 3)), np.array(0), r"states of shape \(\) do not match"),
+        (np.zeros((4, 2, 3)), np.zeros(3, dtype=int), r"states of shape \(3,\) do not match .* \(4, 2, 3\)"),
+        (np.zeros(3), np.zeros(3, dtype=int), r"states of shape \(3,\) do not match a \(\.\.\., L, n\) batch"),
+    ],
+    ids=["short", "0-d", "no_batch_axis", "1-d_batch"],
+)
+def test_interleave_refuses_states_that_do_not_match_the_batch(shift, B, s, message):
+    with pytest.raises(ValueError, match=message):
+        shift(B, s)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 4), st.integers(0, 10**6))
 def test_interleave_round_trip_property(L, n, T, seed):

@@ -49,6 +49,13 @@ def test_e0_zero_at_rho_zero():
     assert dmc.e0(P, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("rho", [-1.0, -0.5, np.nan, np.inf])
+def test_e0_refuses_a_rho_that_is_not_finite_and_nonnegative(rho):
+    # -1 divided by zero, NaN gave NaN and inf a negative E0 of a BSC
+    with pytest.raises(ValueError, match="rho must be finite and >= 0"):
+        dmc.e0(bsc(0.1).matrix, rho)
+
+
 def test_e0_concave_nondecreasing():
     P = random_stochastic(np.random.default_rng(1), 4, 6)
     rhos = np.linspace(0.0, 3.0, 61)

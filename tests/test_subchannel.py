@@ -208,11 +208,15 @@ def test_llr_matrix_matches_scalar_calls():
         (RayleighCsi(0.5), np.array([0.3 + 0.2j]), None, "RayleighCsi base needs fading coefficients"),
         (Awgn(0.5), np.array([0.3 + 0.2j]), np.array([0.1]), "Awgn base takes no fading coefficients"),
         (Dmc(np.array([[0.9, 0.1], [0.2, 0.8]])), np.array([0]), np.array([1.0]), "Dmc base takes no fading"),
+        (RayleighCsi(0.5), np.full(5, 0.3 + 0.2j), np.array([0.8 - 0.1j]), "h: 1 given for 5 outputs"),
+        (RayleighCsi(0.5), np.full(9000, 0.3 + 0.2j), np.array([0.8 - 0.1j]), "h: 1 given for 9000 outputs"),
+        (RayleighCsi(0.5), np.full(3, 0.3 + 0.2j), np.full(4, 0.8 - 0.1j), "h: 4 given for 3 outputs"),
     ],
-    ids=["rayleigh_without_h", "awgn_with_h", "dmc_with_h"],
+    ids=["rayleigh_without_h", "awgn_with_h", "dmc_with_h", "one_h_for_5", "one_h_for_9000", "h_longer_than_y"],
 )
 def test_llr_matrix_refuses_a_fading_coefficient_that_does_not_match_the_base(base, y, h, message):
-    # a Rayleigh output without its gain would be demapped at unit gain, an AWGN one with a gain faded
+    # a Rayleigh output without its gain would be demapped at unit gain, an AWGN one with a gain faded;
+    # a short h was broadcast against a few outputs and broke on a batch spanning several blocks
     with pytest.raises(ValueError, match=message):
         llr_matrix(base, BPSK if isinstance(base, Dmc) else QPSK, y, h)
 
