@@ -50,11 +50,12 @@ information density is the sum of the axes', so its E[i] adds across the
 axes, and its 2**-E0 is the product of the axes' Gallager integrals, a
 distinct axis counting once per copy.
 
-The moment pass reads the walk at R(0), twice (``moment_table``): at
-``LATTICE_STEP``/``GL_NODES``, then at half the step with twice the fading
-nodes; a Dmc's outputs depend on neither, so its two passes are the same.
-It takes the moments of the deficit log2(k) - i of each k-row channel,
-which is near 0 where i is near its cap, and returns the capacities and
+The moment gate reads two passes off one walk at R(0) (``moment_table``):
+the walk is at half ``LATTICE_STEP`` with 2 ``GL_NODES`` - 1 fading nodes,
+and its nodes of even index are the walk at ``LATTICE_STEP``/``GL_NODES``;
+a Dmc's outputs depend on neither, so its two passes are the same.  It
+takes the moments of the deficit log2(k) - i of each k-row channel, which
+is near 0 where i is near its cap, and returns the capacities and
 dispersions the callers read.  E0 needs whole sums for many rho values:
 ``get_ensemble`` stores the walk at R(1), which serves every rho <= 1, and
 streams the walk at R(rho) for a larger rho.  An ensemble keeps its per-rho
@@ -86,7 +87,19 @@ LN2 = np.log(2.0)
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised when a moment pass is not finite, or the two passes disagree beyond tolerance."""
+    """Raised when a moment pass is not finite, or the two passes disagree beyond tolerance.
+
+    It carries the gate's record: ``quantity`` names the quantity, ``shift``
+    is the largest move between the passes (nan when a pass is not finite),
+    and ``coarse`` and ``fine`` are the two passes' (step, gl).
+    """
+
+    def __init__(self, message: str, quantity: str, shift: float, coarse: tuple, fine: tuple):
+        super().__init__(message)
+        self.quantity, self.shift, self.coarse, self.fine = quantity, shift, coarse, fine
+
+    def __reduce__(self):  # a pool worker's error reaches the parent with its record
+        return type(self), (str(self), self.quantity, self.shift, self.coarse, self.fine)
 
 
 class Run(NamedTuple):
@@ -96,6 +109,8 @@ class Run(NamedTuple):
     cell: float  # the weight of every output
     log_rows: np.ndarray  # (ma, N) log densities by axis label
     log_sub: np.ndarray  # (La, 2, N) log sub-channel densities of the axis bits
+    even: np.ndarray | None = None  # the outputs of the flagged states that lie on the lattice of twice the step
+    even_starts: np.ndarray | None = None  # index into ``even`` of each flagged state's first output
 
 
 def _radius(m: int, rho: float) -> float:
@@ -147,8 +162,22 @@ def _axes(base: ChannelModel, cons: Constellation) -> list[tuple[Axis, np.ndarra
     return [(axis, np.array(bits)) for axis, bits in groups.values()]
 
 
+def _within(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each node ``x`` (..., d) lies in the box [lo, hi] (..., d), tested one coordinate at a time."""
+    inside = (lo[..., 0] <= x[..., 0]) & (x[..., 0] <= hi[..., 0])
+    for i in range(1, x.shape[-1]):
+        inside &= (lo[..., i] <= x[..., i]) & (x[..., i] <= hi[..., i])
+    return inside
+
+
 def _outputs(
-    base: ChannelModel, cons: Constellation, axis: Axis, scale: np.ndarray, step: float, radius: float
+    base: ChannelModel,
+    cons: Constellation,
+    axis: Axis,
+    scale: np.ndarray,
+    step: float,
+    radius: float,
+    even: np.ndarray | None = None,
 ) -> Iterator[Run]:
     """The axis's outputs in the channel states ``scale`` (F,), in runs of about ``kernels.BLOCK_ENTRIES`` entries.
 
@@ -157,8 +186,13 @@ def _outputs(
     ``radius`` sigma of some scaled point, per coordinate.  Each point
     contributes the lattice nodes of its box that no earlier point's box
     holds, so a state's outputs are its points' boxes in label order.  The
-    test holds every node of every box against every box, per coordinate:
-    (F', ma, G, ma, d) booleans, which size a run.
+    test takes the earlier boxes one at a time and the coordinates one at a
+    time, so that no reduction runs along an axis of length ma or d; the
+    nodes of a run's boxes, (F', ma, G, d) of them, size the run.
+
+    ``even`` (F,) flags the states of the walk at twice the step.  Each run
+    then lists in ``Run.even`` their outputs whose index is even in every
+    coordinate: the outputs that walk keeps, in its order.
     """
     sets = label_sets(axis.L)
     if isinstance(base, Dmc):
@@ -170,18 +204,28 @@ def _outputs(
     ma, d = pts.shape
     cell = step * math.sqrt(base.n0 / 2)  # the lattice step in output units
     grid = np.indices((int(2 * radius / step) + 1,) * d).reshape(d, -1).T  # (G, d) lattice offsets in a box
-    run = max(1, kernels.BLOCK_ENTRIES // (ma * ma * len(grid) * d))
-    for a in range(0, len(scale), run):
-        st = slice(a, a + run)
+    size = max(1, kernels.BLOCK_ENTRIES // (ma * len(grid) * d))
+    for a in range(0, len(scale), size):
+        st = slice(a, a + size)
         c = scale[st, None, None] * pts / cell  # (F', ma, d) points in lattice units
-        lo, hi = np.ceil(c - radius / step), np.floor(c + radius / step)  # each point's box of lattice indices
-        nodes = lo[:, :, None, None] + grid[:, None]  # (F', ma, G, 1, d) the nodes of each point's box
-        inside = ((lo[:, None, None] <= nodes) & (nodes <= hi[:, None, None])).all(-1)  # (F', ma, G, ma)
-        keep = (inside.argmax(-1) == np.arange(ma)[:, None]) & inside.any(-1)  # the first box holding the node
+        lo = np.ceil(c - radius / step).astype(np.intp)  # each point's box of lattice indices
+        hi = np.floor(c + radius / step).astype(np.intp)
+        nodes = lo[:, :, None] + grid  # (F', ma, G, d) the nodes of each point's box
+        keep = _within(nodes, lo[:, :, None], hi[:, :, None])
+        for k in range(ma - 1):  # a node belongs to the first box that holds it
+            keep[:, k + 1 :] &= ~_within(nodes[:, k + 1 :], lo[:, k, None, None], hi[:, k, None, None])
         f, j, g = np.nonzero(keep)
         counts = np.bincount(f, minlength=len(c))
-        log_rows = kernels.log_densities(nodes[f, j, g, 0] * cell, scale[st][f], pts, base.n0)
-        yield Run(np.cumsum(counts) - counts, cell**d, log_rows, kernels.log_subchannel(log_rows, sets))
+        y = nodes[f, j, g]  # (N, d) the outputs' lattice indices
+        log_rows = kernels.log_densities(y * cell, scale[st][f], pts, base.n0)
+        run = Run(np.cumsum(counts) - counts, cell**d, log_rows, kernels.log_subchannel(log_rows, sets))
+        if even is not None:
+            pick = even[st][f]
+            for i in range(d):
+                pick &= (y[:, i] & 1) == 0
+            n = np.bincount(f[pick], minlength=len(c))[even[st]]
+            run = run._replace(even=np.flatnonzero(pick), even_starts=np.cumsum(n) - n)
+        yield run
 
 
 def _per_state(runs: Iterable[Run], sums: Callable[[Run], np.ndarray]) -> np.ndarray:
@@ -246,8 +290,13 @@ def get_ensemble(base: ChannelModel, cons: Constellation) -> Ensemble:
 # ---------------------------------------------------------------------------
 
 
-def _deficit_sums(run: Run) -> np.ndarray:
-    """(2 La + 1, F') per state of ``run``: the sums of E[d] and E[d^2] of each axis bit, then of E[d] of the label."""
+def _deficit_sums(run: Run) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of E[d] and E[d^2] of each axis bit, then of E[d] of the label, (2 La + 1, F') per state of ``run``.
+
+    Returned twice: over every output, then over the outputs ``run.even``
+    lists, per flagged state.  A run that lists none, a Dmc's, is the same
+    sums.
+    """
     La = len(run.log_sub)
     d = np.concatenate([run.log_sub.reshape(2 * La, -1), run.log_rows])
     p = np.exp(d)
@@ -262,11 +311,14 @@ def _deficit_sums(run: Run) -> np.ndarray:
     e1 = 0.5 * (bit[0::2] + bit[1::2])
     bit *= d[: 2 * La]  # W d^2 of the bit rows
     law = np.concatenate([e1, 0.5 * (bit[0::2] + bit[1::2]), p[2 * La :].mean(0)[None]])
-    return np.add.reduceat(law, run.starts, axis=1)
+    every = np.add.reduceat(law, run.starts, axis=1)
+    if run.even is None:
+        return every, every
+    return every, np.add.reduceat(law[:, run.even], run.even_starts, axis=1)
 
 
 def _moment_pass(base: ChannelModel, cons: Constellation, step: float, gl: int):
-    """``moment_table``'s result from one pass over each distinct axis's outputs within R(0), a run of states at a time.
+    """``moment_table``'s two passes, at (step, gl) and at (step / 2, 2 gl - 1), from one walk within R(0).
 
     On an axis, a channel of k equiprobable rows W_r has the information
     density i_r = log2(W_r / pbar), pbar the mean of any bit's two laws, and
@@ -279,23 +331,43 @@ def _moment_pass(base: ChannelModel, cons: Constellation, step: float, gl: int):
     i lose to cancellation near log2(k), and with a deficit that rounds
     below 0 read as 0, no capacity exceeds log2(k).
 
-    On Rayleigh the states below ``_fading_floor`` are folded into one state
-    of gain 0 that carries their summed weight.  Its outputs carry no
-    information (i = 0, d = log2(k)), the limit the folded states approach,
-    and it costs one box of outputs.
+    Halving the step keeps every node: the lattice at ``step`` is the one at
+    step / 2 read at the indices even in every coordinate, and its box rule
+    keeps those nodes with the same owners in the same order, since c - R /
+    step doubles exactly.  The 2 gl - 1 fading nodes hold the gl ones at
+    their even indices.  So each distinct axis is walked once, at the fine
+    resolution, and the coarse pass sums the even outputs of the even states
+    (``Run.even``), each weighing 2**d fine cells: the sums a walk at
+    (step, gl) takes, in its order.  A Dmc's outputs depend on neither, so
+    its two passes are the same sums.
+
+    On Rayleigh each pass folds its states below ``_fading_floor`` into one
+    state of gain 0 that carries their summed weight; the passes share that
+    state, each with its own weight.  Its outputs carry no information
+    (i = 0, d = log2(k)), the limit the folded states approach, and it costs
+    one box of outputs.
     """
-    scale, w = _fading_nodes(base, gl)
+    scale, w = _fading_nodes(base, 2 * gl - 1)
+    w_even = _fading_nodes(base, gl)[1]
+    even = np.arange(len(scale)) % 2 == 0
     if isinstance(base, RayleighCsi):
         keep = scale >= math.exp(_fading_floor(base.n0) / 2)
-        scale, w = np.append(scale[keep], 0.0), np.append(w[keep], w[~keep].sum())
-    c, v, cm = np.zeros(cons.L), np.zeros(cons.L), np.full(1, float(cons.L))
+        scale, even = np.append(scale[keep], 0.0), np.append(even[keep], True)
+        w = np.append(w[keep], w[~keep].sum())
+        w_even = np.append(w_even[keep[::2]], w_even[~keep[::2]].sum())
+    passes = [(np.zeros(cons.L), np.zeros(cons.L), np.full(1, float(cons.L))) for _ in range(2)]
     for axis, bits in _axes(base, cons):
-        tot = _per_state(_outputs(base, cons, axis, scale, step, _radius(cons.m, 0.0)), _deficit_sums) @ w
-        mean_d, mean_d2, label_d = np.split(tot, [axis.L, 2 * axis.L])
-        c[bits], v[bits] = 1.0 - mean_d, mean_d2 - mean_d * mean_d
-        for _ in bits:  # each copy of the axis adds its deficit to the label's
-            cm -= label_d
-    return c, v, cm
+        coarse, fine = [], []
+        for run in _outputs(base, cons, axis, scale, step / 2, _radius(cons.m, 0.0), even):
+            every, on_even = _deficit_sums(run)
+            coarse.append(run.cell * 2 ** axis.points.shape[1] * on_even)
+            fine.append(run.cell * every)
+        for (c, v, cm), per_state, weight in zip(passes, (coarse, fine), (w_even, w)):
+            mean_d, mean_d2, label_d = np.split(np.concatenate(per_state, axis=1) @ weight, [axis.L, 2 * axis.L])
+            c[bits], v[bits] = 1.0 - mean_d, mean_d2 - mean_d * mean_d
+            for _ in bits:  # each copy of the axis adds its deficit to the label's
+                cm -= label_d
+    return passes[0], passes[1]
 
 
 _MOMENT_NAMES = ("sub-channel capacities", "sub-channel dispersions", "full-input capacity")
@@ -309,24 +381,27 @@ def moment_table(base: ChannelModel, cons: Constellation):
     (bits^2), and ``cm = [C]`` for the full equiprobable input.  Each comes
     from the deficits of ``_moment_pass``, so ``c <= 1`` and ``cm <= L``.
     It takes a pass at ``LATTICE_STEP``/``GL_NODES`` and one at half the
-    step with twice the fading nodes (a Dmc's two are the same exact sums),
-    and returns the second if no quantity moved by more than
-    ``CONVERGENCE_TOL``; else ``QuadratureConvergenceError`` names the one
-    that moved most.  It is also raised at the first pass that is not
-    finite.  On Rayleigh both passes fold the fading nodes below
-    ``_fading_floor(n0)`` into one zero-gain state, which moves each
-    capacity by at most 2e-9 and each dispersion by at most 6e-9.
+    step with 2 ``GL_NODES`` - 1 fading nodes, both read off one walk (a
+    Dmc's two are the same exact sums), and returns the second if no
+    quantity moved by more than ``CONVERGENCE_TOL``; else
+    ``QuadratureConvergenceError`` names the one that moved most.  It is
+    also raised at the first pass that is not finite.  On Rayleigh both
+    passes fold the fading nodes below ``_fading_floor(n0)`` into one
+    zero-gain state, which moves each capacity by at most 2e-9 and each
+    dispersion by at most 6e-9.
     """
-    res = []
-    for step, gl in (LATTICE_STEP, GL_NODES), (LATTICE_STEP / 2, 2 * GL_NODES):
-        res.append(_moment_pass(base, cons, step, gl))
-        for name, v in zip(_MOMENT_NAMES, res[-1]):
+    coarse, fine = (LATTICE_STEP, GL_NODES), (LATTICE_STEP / 2, 2 * GL_NODES - 1)
+    res = _moment_pass(base, cons, *coarse)
+    for (step, gl), table in zip((coarse, fine), res):
+        for name, v in zip(_MOMENT_NAMES, table):
             if not np.all(np.isfinite(v)):  # a finer pass cannot repair one that yields NaN or inf
-                raise QuadratureConvergenceError(f"not finite: {name} at step={step:g}, gl={gl}")
+                raise QuadratureConvergenceError(
+                    f"not finite: {name} at step={step:g}, gl={gl}", name, math.nan, coarse, fine
+                )
     shift, name = max((float(np.max(np.abs(a - b))), name) for a, b, name in zip(*res, _MOMENT_NAMES))
     if shift > CONVERGENCE_TOL:
         raise QuadratureConvergenceError(
-            f"{name} moved {shift:.3e} between step={LATTICE_STEP:g}, gl={GL_NODES} and"
-            f" step={step:g}, gl={gl} (tolerance {CONVERGENCE_TOL:g})"
+            f"{name} moved {shift:.3e} between step={coarse[0]:g}, gl={coarse[1]} and"
+            f" step={fine[0]:g}, gl={fine[1]} (tolerance {CONVERGENCE_TOL:g})", name, shift, coarse, fine
         )
     return res[1]

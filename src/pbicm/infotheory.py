@@ -252,19 +252,21 @@ class DispersionReport:
 
 
 def dispersion_report(base: ChannelModel, cons: Constellation) -> DispersionReport:
-    c_sub, v_sub, _ = _moments(base, cons)
-    c_wbar = float(c_sub.mean())
-    mean_v = float(v_sub.mean())
-    penalty = float(np.mean((c_sub - c_wbar) ** 2))
+    # plain floats: numpy's per-call cost is most of the work on 1 to 6 sub-channels
+    c_sub, v_sub = (a.tolist() for a in _moments(base, cons)[:2])
+    L = cons.L
+    c_wbar = sum(c_sub) / L
+    mean_v = sum(v_sub) / L
+    penalty = sum((c - c_wbar) ** 2 for c in c_sub) / L
     v_wbar = mean_v + penalty
     return DispersionReport(
-        L=cons.L,
-        c_subchannels=[float(v) for v in c_sub],
-        v_subchannels=[float(v) for v in v_sub],
+        L=L,
+        c_subchannels=c_sub,
+        v_subchannels=v_sub,
         c_wbar=c_wbar,
-        c_pbicm=float(c_sub.sum()),
+        c_pbicm=sum(c_sub),
         v_wbar=v_wbar,
-        v_pbicm=float(cons.L**2 * v_wbar),
+        v_pbicm=L**2 * v_wbar,
         mean_subchannel_v=mean_v,
         penalty=penalty,
     )

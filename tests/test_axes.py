@@ -35,10 +35,10 @@ def _channel(kind: str, snr_db: float = 8.0):
 
 
 def _results(base, cons, y, h):
-    """Moments, E0 integrals and LLRs from the uncached pipeline at (STEP, GL)."""
+    """Moments (both passes of one walk), E0 integrals and LLRs from the uncached pipeline at (STEP, GL)."""
     ens = _ensemble.get_ensemble.__wrapped__(base, cons)
     return {
-        "moments": np.concatenate(_ensemble._moment_pass(base, cons, STEP, GL)),
+        "moments": np.concatenate([v for table in _ensemble._moment_pass(base, cons, STEP, GL) for v in table]),
         "sub_e0": np.array([ens.sub_integrals(rho) for rho in RHOS]),
         "mary_e0": np.array([ens.mary_integral(rho) for rho in RHOS]),
         "llr": llr_matrix(base, cons, y, h) if isinstance(base, RayleighCsi) else llr_matrix(base, cons, y),
@@ -160,12 +160,12 @@ def test_axes_with_equal_points_are_walked_once_bit_for_bit(monkeypatch, name, d
 
     monkeypatch.setattr(_ensemble, "_outputs", counted_outputs)
     stored, grouped = results()
-    # per distinct axis: the stored R(1) walk, two streamed R(3) walks and two moment passes
-    assert stored == distinct and len(walked) == 5 * distinct
+    # per distinct axis: the stored R(1) walk, two streamed R(3) walks and one walk for both moment passes
+    assert stored == distinct and len(walked) == 4 * distinct
     monkeypatch.setattr(_ensemble, "_axes", lambda base, cons: [(a, np.array([a.bits])) for a in cons.axes])
     walked.clear()
     stored, per_axis = results()
-    assert stored == 2 and len(walked) == 10
+    assert stored == 2 and len(walked) == 8
     for got, want in zip(grouped, per_axis, strict=True):
         np.testing.assert_array_equal(got, want)
 
@@ -253,3 +253,51 @@ def test_walk_matches_enumerated_boxes(name, kind, rho):
     assert all(run.cell == (STEP * np.sqrt(base.n0 / 2)) ** axis.points.shape[1] for run in runs)
     if kind == "rayleigh":
         assert dropped[0] > 0 and dropped[-1] == 0
+
+
+def test_fine_fading_nodes_hold_the_coarse_ones():
+    # 2 gl - 1 nodes on [-40, 4] put the gl coarse nodes at their even indices, exactly
+    gl = _ensemble.GL_NODES
+    np.testing.assert_array_equal(np.linspace(-40, 4, 2 * gl - 1)[::2], np.linspace(-40, 4, gl))
+    fine, coarse = _ensemble._fading_nodes(RayleighCsi(1.0), 2 * gl - 1), _ensemble._fading_nodes(RayleighCsi(1.0), gl)
+    np.testing.assert_array_equal(fine[0][::2], coarse[0])  # the same gains |h|
+
+
+def _one_resolution(base, cons, step, gl):
+    """The moment pass as a walk of its own at (step, gl): its fading rule and fold, every output summed."""
+    scale, w = _ensemble._fading_nodes(base, gl)
+    if isinstance(base, RayleighCsi):
+        keep = scale >= math.exp(_ensemble._fading_floor(base.n0) / 2)
+        scale, w = np.append(scale[keep], 0.0), np.append(w[keep], w[~keep].sum())
+    c, v, cm = np.zeros(cons.L), np.zeros(cons.L), np.full(1, float(cons.L))
+    for axis, bits in _ensemble._axes(base, cons):
+        runs = _ensemble._outputs(base, cons, axis, scale, step, _ensemble._radius(cons.m, 0.0))
+        tot = _ensemble._per_state(runs, lambda run: _ensemble._deficit_sums(run)[0]) @ w
+        mean_d, mean_d2, label_d = np.split(tot, [axis.L, 2 * axis.L])
+        c[bits], v[bits] = 1.0 - mean_d, mean_d2 - mean_d * mean_d
+        for _ in bits:
+            cm -= label_d
+    return c, v, cm
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 40.0])
+@pytest.mark.parametrize("kind", ["awgn", "rayleigh"])
+@pytest.mark.parametrize("name", ["BPSK", "QPSK", "PSK8", "QAM16", "QAM64"])
+def test_coarse_pass_of_the_walk_is_a_walk_at_the_coarse_resolution(name, kind, snr_db):
+    # the moment gate reads its coarse pass off the fine walk: the even
+    # outputs of the even states must sum to what a walk of their own at
+    # (LATTICE_STEP, GL_NODES) sums, bit for bit
+    base, cons = _channel(kind, snr_db), make_constellation(name)
+    step, gl = _ensemble.LATTICE_STEP, _ensemble.GL_NODES
+    coarse, _ = _ensemble._moment_pass(base, cons, step, gl)
+    for got, want in zip(coarse, _one_resolution(base, cons, step, gl), strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_dmc_walk_gives_the_same_sums_to_both_passes():
+    base, cons = Dmc(random_stochastic(np.random.default_rng(13), 16, 7)), make_constellation("QAM16")
+    coarse, fine = _ensemble._moment_pass(base, cons, _ensemble.LATTICE_STEP, _ensemble.GL_NODES)
+    want = _one_resolution(base, cons, _ensemble.LATTICE_STEP, _ensemble.GL_NODES)
+    for a, b, c in zip(coarse, fine, want, strict=True):
+        np.testing.assert_array_equal(a, c)
+        np.testing.assert_array_equal(b, c)

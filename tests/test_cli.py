@@ -1,10 +1,12 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from pbicm import _ensemble, infotheory
 from pbicm.channel import Dmc, bsc, save_dmc
 from pbicm.cli import main
 
@@ -76,6 +78,24 @@ def test_capacity_workers_agree(tmp_path, monkeypatch):
     monkeypatch.setenv("PBICM_WORKERS", "2")
     main(argv + ["--out", str(two)])
     assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched gate reaches workers by fork")
+def test_unconverged_quadrature_in_a_pool_worker_exits_with_one_line(monkeypatch):
+    # at zero tolerance every point raises QuadratureConvergenceError; from a
+    # PBICM_WORKERS pool worker it comes back through pickle, and the CLI
+    # ends with the same one line as without workers
+    monkeypatch.setattr(_ensemble, "CONVERGENCE_TOL", 0.0)
+    infotheory._moments.cache_clear()
+    argv = ["capacity", "--constellation", "BPSK", "--channel", "awgn", "--snr-sweep", "0:4:3"]
+    msgs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("PBICM_WORKERS", workers)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        msgs.append(err.value.code)
+    assert msgs[0] == msgs[1]
+    assert isinstance(msgs[1], str) and "\n" not in msgs[1] and msgs[1].endswith("(tolerance 0)"), msgs[1]
 
 
 def test_capacity_dmc_channel(tmp_path):

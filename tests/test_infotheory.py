@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -605,7 +606,8 @@ def test_exponent_curve_csv(tmp_path):
 
 
 def test_moment_quadrature_raises_when_nodes_cannot_converge(monkeypatch):
-    # steps of 8 and 4 sigma: too coarse for the two passes to agree, and the gate takes no third
+    # steps of 8 and 4 sigma: too coarse for the two passes to agree, and the gate takes no third;
+    # both passes are read off one walk
     passes = []
     real_pass = _ensemble._moment_pass
 
@@ -615,13 +617,26 @@ def test_moment_quadrature_raises_when_nodes_cannot_converge(monkeypatch):
 
     monkeypatch.setattr(_ensemble, "LATTICE_STEP", 8.0)
     monkeypatch.setattr(_ensemble, "_moment_pass", counted_pass)
-    with pytest.raises(QuadratureConvergenceError, match="between step=8, gl=64 and step=4, gl=128"):
+    with pytest.raises(QuadratureConvergenceError, match="between step=8, gl=64 and step=4, gl=127"):
         moment_table(Awgn(Snr(5.0).n0), make_constellation("QAM16"))
-    assert passes == [(8.0, 64), (4.0, 128)]
+    assert passes == [(8.0, 64)]
+
+
+def test_convergence_error_carries_its_record_through_pickle(monkeypatch):
+    # a PBICM_WORKERS pool worker re-raises the error in the parent through pickle
+    monkeypatch.setattr(_ensemble, "LATTICE_STEP", 8.0)
+    with pytest.raises(QuadratureConvergenceError) as err:
+        moment_table(Awgn(Snr(5.0).n0), make_constellation("QAM16"))
+    exc = err.value
+    assert (exc.quantity, exc.coarse, exc.fine) == ("full-input capacity", (8.0, 64), (4.0, 127))
+    assert str(exc).startswith(f"full-input capacity moved {exc.shift:.3e} between") and exc.shift > 1e-4
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is QuadratureConvergenceError and str(back) == str(exc)
+    assert (back.quantity, back.shift, back.coarse, back.fine) == (exc.quantity, exc.shift, exc.coarse, exc.fine)
 
 
 def test_moment_quadrature_at_zero_tolerance_raises_after_two_passes_naming_a_quantity(monkeypatch):
-    # no two resolutions agree exactly: the gate raises after its second pass and says what moved
+    # no two resolutions agree exactly: the gate raises after its one walk and says what moved
     passes = []
     real_pass = _ensemble._moment_pass
 
@@ -633,7 +648,7 @@ def test_moment_quadrature_at_zero_tolerance_raises_after_two_passes_naming_a_qu
     monkeypatch.setattr(_ensemble, "_moment_pass", counted_pass)
     with pytest.raises(QuadratureConvergenceError) as err:
         moment_table(RayleighCsi(Snr(5.0).n0), QPSK)
-    assert passes == [(0.5, 64), (0.25, 128)]
+    assert passes == [(0.5, 64)]
     msg = str(err.value)
     assert any(msg.startswith(f"{name} moved ") for name in _ensemble._MOMENT_NAMES), msg
     assert msg.endswith("(tolerance 0)"), msg
@@ -666,7 +681,8 @@ def test_moment_quadrature_stops_at_first_non_finite_pass(monkeypatch):
     with pytest.raises(QuadratureConvergenceError, match="step=0.5, gl=64") as err:
         moment_table(RayleighCsi(Snr(5.0).n0), BPSK)
     assert "not finite" in str(err.value)
-    assert passes == [(0.5, 64)]
+    assert math.isnan(err.value.shift) and (err.value.coarse, err.value.fine) == ((0.5, 64), (0.25, 127))
+    assert passes == [(0.5, 64)]  # the one walk: the coarse pass is checked first
 
 
 @pytest.mark.parametrize(
@@ -674,8 +690,9 @@ def test_moment_quadrature_stops_at_first_non_finite_pass(monkeypatch):
     [("QPSK", Awgn, 10.0), ("QAM16", Awgn, 15.0), ("QAM16", RayleighCsi, 5.0), ("QAM64", RayleighCsi, 10.0)],
 )
 def test_moment_table_takes_two_passes(monkeypatch, cons_name, channel, snr_db):
-    # two passes suffice at these points when the gate compares only the
-    # moments callers read; a full-input second moment would need a third
+    # two passes, read off one walk, suffice at these points when the gate
+    # compares only the moments callers read; a full-input second moment
+    # would need a third
     base, cons = channel(Snr(snr_db).n0), make_constellation(cons_name)
     passes = []
     real_pass = _ensemble._moment_pass
@@ -687,8 +704,9 @@ def test_moment_table_takes_two_passes(monkeypatch, cons_name, channel, snr_db):
     monkeypatch.setattr(_ensemble, "_moment_pass", counted_pass)
     got = moment_table(base, cons)
     step, gl = _ensemble.LATTICE_STEP, _ensemble.GL_NODES
-    assert passes == [(step, gl), (step / 2, 2 * gl)]
-    for v, want in zip(got, real_pass(base, cons, step / 4, 4 * gl), strict=True):
+    assert passes == [(step, gl)]
+    # the fine pass of the walk at (step / 2, 2 gl - 1): step / 4 and 4 gl - 3 fading nodes
+    for v, want in zip(got, real_pass(base, cons, step / 2, 2 * gl - 1)[1], strict=True):
         np.testing.assert_allclose(v, want, rtol=0, atol=1e-6)
 
 
@@ -705,8 +723,8 @@ def test_dmc_moment_passes_are_identical(monkeypatch, seed):
 
     monkeypatch.setattr(_ensemble, "_moment_pass", kept_pass)
     got = moment_table(base, cons)
-    assert len(passes) == 2
-    for first, second, v in zip(*passes, got, strict=True):
+    assert len(passes) == 1  # one walk gives both passes
+    for first, second, v in zip(*passes[0], got, strict=True):
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(v, second)
 
@@ -742,8 +760,8 @@ def test_moments_of_a_state_are_within_the_floor_slope_of_zero_gain(cons_name, s
 
 
 def test_fading_floor_cuts_the_states_walked(monkeypatch):
-    # at 10 dB the floor is u0 = -11.5: 23 of the 64 coarse fading nodes and
-    # 46 of the 128 fine ones, plus the zero-gain state
+    # at 10 dB the floor is u0 = -11.5: 45 of the 127 fine fading nodes,
+    # plus the zero-gain state; the coarse pass reads the 23 even ones of them
     walked = []
     real_outputs = _ensemble._outputs
 
@@ -753,10 +771,8 @@ def test_fading_floor_cuts_the_states_walked(monkeypatch):
 
     monkeypatch.setattr(_ensemble, "_outputs", counted_outputs)
     moment_table(RayleighCsi(Snr(10.0).n0), QPSK)
-    # one walk per distinct axis and pass: QPSK's two axes share their points
-    assert len(walked) == 2
-    coarse, fine = walked
-    assert coarse <= 24 and fine <= 47
+    # one walk per distinct axis for both passes: QPSK's two axes share their points
+    assert len(walked) == 1 and walked[0] <= 47
 
 
 @pytest.mark.parametrize("snr_db", [-30.0, -10.0, 0.0, 10.0, 20.0, 30.0, 50.0, 100.0])
