@@ -98,7 +98,7 @@ class QuadratureConvergenceError(RuntimeError):
         super().__init__(message)
         self.quantity, self.shift, self.coarse, self.fine = quantity, shift, coarse, fine
 
-    def __reduce__(self):  # a pool worker's error reaches the parent with its record
+    def __reduce__(self):  # BaseException pickles only its args, which __init__ cannot take back
         return type(self), (str(self), self.quantity, self.shift, self.coarse, self.fine)
 
 
@@ -108,7 +108,7 @@ class Run(NamedTuple):
     starts: np.ndarray  # (F',) index of each state's first output
     cell: float  # the weight of every output
     log_rows: np.ndarray  # (ma, N) log densities by axis label
-    log_sub: np.ndarray  # (La, 2, N) log sub-channel densities of the axis bits
+    log_sub: np.ndarray  # (La, 2, N) log sub-channel densities of the axis bits; ``log_rows`` itself when La = 1
     even: np.ndarray | None = None  # the outputs of the flagged states that lie on the lattice of twice the step
     even_starts: np.ndarray | None = None  # index into ``even`` of each flagged state's first output
 
@@ -295,10 +295,12 @@ def _deficit_sums(run: Run) -> tuple[np.ndarray, np.ndarray]:
 
     Returned twice: over every output, then over the outputs ``run.even``
     lists, per flagged state.  A run that lists none, a Dmc's, is the same
-    sums.
+    sums.  On a one-bit axis the label rows are the bit's two rows, so they
+    are not worked again: the label's E[d] is the bit's, bit for bit.
     """
     La = len(run.log_sub)
-    d = np.concatenate([run.log_sub.reshape(2 * La, -1), run.log_rows])
+    # a copy, worked in place below: ``run.log_sub`` may be a view of ``run.log_rows``
+    d = np.concatenate([run.log_sub.reshape(2 * La, -1)] + ([run.log_rows] if La > 1 else []))
     p = np.exp(d)
     np.subtract(np.logaddexp(run.log_sub[0, 0], run.log_sub[0, 1]) - LN2, d, out=d)  # log pbar - log W
     d /= LN2
@@ -310,7 +312,7 @@ def _deficit_sums(run: Run) -> tuple[np.ndarray, np.ndarray]:
     bit = p[: 2 * La]
     e1 = 0.5 * (bit[0::2] + bit[1::2])
     bit *= d[: 2 * La]  # W d^2 of the bit rows
-    law = np.concatenate([e1, 0.5 * (bit[0::2] + bit[1::2]), p[2 * La :].mean(0)[None]])
+    law = np.concatenate([e1, 0.5 * (bit[0::2] + bit[1::2]), e1 if La == 1 else p[2 * La :].mean(0)[None]])
     every = np.add.reduceat(law, run.starts, axis=1)
     if run.even is None:
         return every, every

@@ -7,17 +7,14 @@ subcommand is checked as if typed after its flag, any other is ignored, as
 is one for a flag the channel does not take, such as --snr-db with a Dmc);
 explicit command-line flags win.
 CSV floats carry 9 significant digits and sweep rows are emitted in sorted
-order, so reruns with the same inputs are byte-identical.  PBICM_WORKERS,
-a positive integer, sets the process count used for sweep points.
+order, so reruns with the same inputs are byte-identical.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,21 +27,6 @@ from .constellation import KINDS, make_constellation
 def _fmt(v) -> str:
     """One CSV cell: an int as written, a float to 9 significant digits, None as nan."""
     return str(v) if isinstance(v, int) else f"{math.nan if v is None else float(v):.9g}"
-
-
-def _nworkers() -> int:
-    raw = os.environ.get("PBICM_WORKERS", "1")
-    if not (raw.isdecimal() and int(raw) >= 1):
-        raise ValueError(f"PBICM_WORKERS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _map_points(fn, points):
-    w = _nworkers()
-    if w <= 1 or len(points) <= 1:
-        return [fn(p) for p in points]
-    with ProcessPoolExecutor(max_workers=min(w, len(points))) as ex:
-        return list(ex.map(fn, points))
 
 
 def _write(out: str | None, text: str) -> None:
@@ -111,8 +93,7 @@ def _snr_points(args) -> list[float | None]:
 # ---------------------------------------------------------------------------
 
 
-def _capacity_row(point) -> list:
-    snr_db, base, cons = point
+def _capacity_row(snr_db, base, cons) -> list:
     c_cm = infotheory.capacity_cm(base, cons)
     subs = [infotheory.capacity_subchannel(base, cons, s) for s in range(1, cons.L + 1)]
     return [snr_db, c_cm, sum(subs), *subs]
@@ -121,14 +102,13 @@ def _capacity_row(point) -> list:
 def cmd_capacity(args) -> int:
     cons = make_constellation(args.constellation)
     snrs = [None] if args.channel == "dmc" else _snr_points(args)
-    rows = _map_points(_capacity_row, [(snr, _make_channel(args, snr), cons) for snr in snrs])
+    rows = [_capacity_row(snr, _make_channel(args, snr), cons) for snr in snrs]
     subs = [f"c_sub_{s}_bits" for s in range(1, cons.L + 1)]
     _write_table(args.out, ["snr_db", "c_cm_bits", "c_pbicm_bits", *subs], rows)
     return 0
 
 
-def _exponent_row(point) -> list:
-    base, cons, rate = point
+def _exponent_row(base, cons, rate) -> list:
     ev_u = infotheory.e0_evaluator(base, cons, "Unconstrained")
     ev_w = infotheory.e0_evaluator(base, cons, "WachsmannAveraged")
     unc = infotheory.random_coding_exponent(ev_u, rate)
@@ -150,7 +130,7 @@ def _rate_grid(args, base, cons) -> list[float]:
 def cmd_exponents(args) -> int:
     cons = make_constellation(args.constellation)
     base = _make_channel(args, args.snr_db)
-    rows = _map_points(_exponent_row, [(base, cons, r) for r in _rate_grid(args, base, cons)])
+    rows = [_exponent_row(base, cons, r) for r in _rate_grid(args, base, cons)]
     _write_table(args.out, ["rate_bits", "unconstrained", "pbicm", "pbicm_normalized", "wachsmann_flawed"], rows)
     return 0
 
@@ -424,8 +404,7 @@ def main(argv=None) -> int:
         # an input file that cannot be read or an output that cannot be written
         raise SystemExit(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)) from None
     except (ValueError, infotheory.QuadratureConvergenceError) as exc:
-        # bad input values and unconverged quadratures are user-facing
-        # errors, also when re-raised from a PBICM_WORKERS pool worker
+        # bad input values and unconverged quadratures are user-facing errors
         raise SystemExit(str(exc)) from None
 
 

@@ -84,9 +84,9 @@ def log_subchannel(log_rows: np.ndarray, sets: np.ndarray) -> np.ndarray:
     -inf set -inf.
     """
     L, _, half = sets.shape
+    if half == 1:  # one bit, whose sets are [0] and [1]: the law is the rows themselves, a view, and log_mean's value
+        return log_rows.reshape(1, 2, -1)
     flat = sets.reshape(2 * L, half)
-    if half == 1:  # a set of one label is that label's row, which is also log_mean's value bit for bit
-        return log_rows[flat[:, 0]].reshape(L, 2, -1)
     peak = log_rows.max(axis=0)
     peak[peak == -np.inf] = 0.0  # an all -inf output would shift to -inf - -inf = NaN
     e = log_rows - peak

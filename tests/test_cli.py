@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import subprocess
 import sys
 
@@ -62,40 +61,14 @@ def test_capacity_sweep_sorted_and_deterministic(tmp_path):
     assert caps == sorted(caps)  # capacity grows with SNR
 
 
-def test_capacity_workers_agree(tmp_path, monkeypatch):
-    argv = [
-        "capacity",
-        "--constellation",
-        "BPSK",
-        "--channel",
-        "awgn",
-        "--snr-sweep",
-        "0:4:3",
-    ]
-    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    monkeypatch.setenv("PBICM_WORKERS", "1")
-    main(argv + ["--out", str(one)])
-    monkeypatch.setenv("PBICM_WORKERS", "2")
-    main(argv + ["--out", str(two)])
-    assert one.read_bytes() == two.read_bytes()
-
-
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched gate reaches workers by fork")
 def test_unconverged_quadrature_in_a_pool_worker_exits_with_one_line(monkeypatch):
-    # at zero tolerance every point raises QuadratureConvergenceError; from a
-    # PBICM_WORKERS pool worker it comes back through pickle, and the CLI
-    # ends with the same one line as without workers
+    # at zero tolerance every point raises QuadratureConvergenceError, and the CLI ends with one line
     monkeypatch.setattr(_ensemble, "CONVERGENCE_TOL", 0.0)
     infotheory._moments.cache_clear()
-    argv = ["capacity", "--constellation", "BPSK", "--channel", "awgn", "--snr-sweep", "0:4:3"]
-    msgs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("PBICM_WORKERS", workers)
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        msgs.append(err.value.code)
-    assert msgs[0] == msgs[1]
-    assert isinstance(msgs[1], str) and "\n" not in msgs[1] and msgs[1].endswith("(tolerance 0)"), msgs[1]
+    with pytest.raises(SystemExit) as err:
+        main(["capacity", "--constellation", "BPSK", "--channel", "awgn", "--snr-sweep", "0:4:3"])
+    msg = err.value.code
+    assert isinstance(msg, str) and "\n" not in msg and msg.endswith("(tolerance 0)"), msg
 
 
 def test_capacity_dmc_channel(tmp_path):
@@ -426,16 +399,6 @@ def test_console_script_entry_point(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("workers", ["abc", "0", "-4", ""])
-def test_malformed_worker_count_exits_with_one_line(monkeypatch, workers):
-    monkeypatch.setenv("PBICM_WORKERS", workers)
-    with pytest.raises(SystemExit) as err:
-        main(["capacity", "--constellation", "BPSK", "--snr-sweep", "0:10:2"])
-    msg = err.value.code
-    assert isinstance(msg, str) and "\n" not in msg
-    assert "PBICM_WORKERS" in msg and repr(workers) in msg
-
-
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -562,17 +525,13 @@ def test_missing_snr_message_names_only_flags_the_command_has(command):
     assert ("--snr-sweep" in msg) == (command == "capacity")
 
 
-def test_exponents_dmc_workers_agree(tmp_path, monkeypatch):
+def test_exponents_dmc_workers_agree(tmp_path):
     f = tmp_path / "chan.csv"
     save_dmc(Dmc(np.random.default_rng(3).dirichlet(np.ones(5), size=4)), f)
+    out = tmp_path / "exp.csv"
     argv = ["exponents", "--constellation", "QPSK", "--channel", "dmc", "--dmc-file", str(f), "--rate-points", "4"]
-    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    monkeypatch.setenv("PBICM_WORKERS", "1")
-    assert main(argv + ["--out", str(one)]) == 0
-    monkeypatch.setenv("PBICM_WORKERS", "2")
-    assert main(argv + ["--out", str(two)]) == 0
-    assert one.read_bytes() == two.read_bytes()
-    assert len(run_csv(one)[1]) == 4
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(run_csv(out)[1]) == 4
 
 
 @pytest.mark.parametrize("rates", ["nan,0.2", "0.2,inf", "-0.1"])

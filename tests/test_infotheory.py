@@ -623,7 +623,7 @@ def test_moment_quadrature_raises_when_nodes_cannot_converge(monkeypatch):
 
 
 def test_convergence_error_carries_its_record_through_pickle(monkeypatch):
-    # a PBICM_WORKERS pool worker re-raises the error in the parent through pickle
+    # without __reduce__ the error does not unpickle: BaseException would call __init__ with its message alone
     monkeypatch.setattr(_ensemble, "LATTICE_STEP", 8.0)
     with pytest.raises(QuadratureConvergenceError) as err:
         moment_table(Awgn(Snr(5.0).n0), make_constellation("QAM16"))
@@ -772,7 +772,7 @@ def test_fading_floor_cuts_the_states_walked(monkeypatch):
     monkeypatch.setattr(_ensemble, "_outputs", counted_outputs)
     moment_table(RayleighCsi(Snr(10.0).n0), QPSK)
     # one walk per distinct axis for both passes: QPSK's two axes share their points
-    assert len(walked) == 1 and walked[0] <= 47
+    assert len(walked) == 1 and walked[0] == 46
 
 
 @pytest.mark.parametrize("snr_db", [-30.0, -10.0, 0.0, 10.0, 20.0, 30.0, 50.0, 100.0])

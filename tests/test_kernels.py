@@ -68,6 +68,7 @@ def test_log_subchannel_of_single_label_sets_is_the_rows_bit_for_bit():
     got = kernels.log_subchannel(rows, label_sets(1))
     np.testing.assert_array_equal(got, _per_set_log_mean(rows, label_sets(1)))
     np.testing.assert_array_equal(got, rows[None])
+    assert np.shares_memory(got, rows)  # the rows themselves, held once
 
 
 def test_log_subchannel_falls_back_to_per_set_log_mean_where_a_set_underflows():
