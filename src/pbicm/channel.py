@@ -200,6 +200,15 @@ def _json_value(field: str, kind: str, raw):
     return raw
 
 
+def _json_rows(field: str, raw) -> np.ndarray:
+    """``raw`` as a 2-D float array if it is a non-empty list of non-empty rows of JSON numbers, all rows of
+    one length; otherwise a ValueError that names the field."""
+    listed = isinstance(raw, list) and raw and all(isinstance(r, list) and r for r in raw)
+    if not (listed and len({len(r) for r in raw}) == 1):
+        raise ValueError(f"{field}: expected a non-empty list of non-empty rows of one length, got {raw!r}")
+    return np.array([[_json_value(field, "number", v) for v in r] for r in raw], dtype=float)
+
+
 def load_dmc(path: str | Path) -> Dmc:
     """Load a Dmc matrix from a .json or .csv file.
 
@@ -229,23 +238,24 @@ def load_dmc(path: str | Path) -> Dmc:
         values = obj["matrix"]
         if not isinstance(values, list):
             raise ValueError(f"{path}: matrix: expected a list, got {values!r}")
-        nested = all(isinstance(r, list) for r in values)
-        fits = [len(r) for r in values] == [ny] * nx if nested else len(values) == nx * ny
-        values = [[_json_value(f"{path}: matrix", "number", v) for v in r] for r in (values if nested else [values])]
+        # nested rows must be nx rows of ny; a flat list is one row of nx*ny
+        rows, shape = (values, [ny] * nx) if all(isinstance(r, list) for r in values) else ([values], [nx * ny])
     else:
         lines = [ln.split(",") for ln in text.splitlines() if ln.strip()]
         if not lines or len(lines[0]) != 2:
             raise ValueError(f"{path}: header: expected a first line 'nx,ny'")
         nx, ny = (_parse(path, "header", int, v) for v in lines[0])
-        values = [[_parse(path, f"row {i}", float, v) for v in row] for i, row in enumerate(lines[1:], 1)]
-        fits = [len(r) for r in values] == [ny] * nx
+        rows = [[_parse(path, f"row {i}", float, v) for v in row] for i, row in enumerate(lines[1:], 1)]
+        shape = [ny] * nx
     for key, n in (("nx", nx), ("ny", ny)):
         if n < 1:
             raise ValueError(f"{path}: {key}: must be at least 1, got {n}")
-    if not fits:
+    if [len(r) for r in rows] != shape:
         raise ValueError(f"{path}: matrix: Dmc file shape does not match header nx={nx}, ny={ny}")
+    if path.suffix == ".json":
+        rows = _json_rows(f"{path}: matrix", rows)
     try:
-        return Dmc(np.asarray(values, dtype=float).reshape(nx, ny))
+        return Dmc(np.asarray(rows, dtype=float).reshape(nx, ny))
     except ValueError as exc:
         raise ValueError(f"{path}: matrix: {exc}") from None
 

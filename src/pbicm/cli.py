@@ -94,9 +94,8 @@ def _snr_points(args) -> list[float | None]:
 
 
 def _capacity_row(snr_db, base, cons) -> list:
-    c_cm = infotheory.capacity_cm(base, cons)
     subs = [infotheory.capacity_subchannel(base, cons, s) for s in range(1, cons.L + 1)]
-    return [snr_db, c_cm, sum(subs), *subs]
+    return [snr_db, infotheory.capacity_cm(base, cons), infotheory.capacity_pbicm(base, cons), *subs]
 
 
 def cmd_capacity(args) -> int:
@@ -108,16 +107,6 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def _exponent_row(base, cons, rate) -> list:
-    ev_u = infotheory.e0_evaluator(base, cons, "Unconstrained")
-    ev_w = infotheory.e0_evaluator(base, cons, "WachsmannAveraged")
-    unc = infotheory.random_coding_exponent(ev_u, rate)
-    pb = infotheory.pbicm_exponent(base, cons, rate)
-    averaged = infotheory.random_coding_exponent(ev_w, rate / cons.L)
-    # pbicm_normalized is pbicm_exponent(..., normalized=True): L times the value of the one search
-    return [rate, unc, pb, cons.L * pb, averaged]
-
-
 def _rate_grid(args, base, cons) -> list[float]:
     if args.rates:
         return _parse_list("--rates", args.rates, float)
@@ -127,11 +116,17 @@ def _rate_grid(args, base, cons) -> list[float]:
     return sorted(float(v) for v in np.linspace(args.rate_min, hi, args.rate_points))
 
 
+# ``pbicm exponents`` column -> the ``infotheory.exponent_curve`` kind it tabulates at total rates
+_EXPONENT_COLUMNS = {"unconstrained": "UnconstrainedRandomCoding", "pbicm": "PbicmRandomCoding",
+                     "pbicm_normalized": "PbicmNormalized", "wachsmann_flawed": "WachsmannRandomCoding"}
+
+
 def cmd_exponents(args) -> int:
     cons = make_constellation(args.constellation)
     base = _make_channel(args, args.snr_db)
-    rows = [_exponent_row(base, cons, r) for r in _rate_grid(args, base, cons)]
-    _write_table(args.out, ["rate_bits", "unconstrained", "pbicm", "pbicm_normalized", "wachsmann_flawed"], rows)
+    rates = _rate_grid(args, base, cons)
+    cols = [infotheory.exponent_curve(base, cons, kind, rates).values for kind in _EXPONENT_COLUMNS.values()]
+    _write_table(args.out, ["rate_bits", *_EXPONENT_COLUMNS], zip(rates, *cols))
     return 0
 
 

@@ -26,6 +26,7 @@ from .channel import (
     Dmc,
     RayleighCsi,
     _integer,
+    _json_rows,
     _json_value,
     awgn_from_snr,
     load_dmc,
@@ -101,6 +102,7 @@ class BinaryCode(_value.Value):
 
 
 def repetition(n: int) -> BinaryCode:
+    n = _integer("n", n)
     return BinaryCode("repetition", np.array([[0] * n, [1] * n], dtype=np.uint8))
 
 
@@ -114,8 +116,8 @@ def hamming74() -> BinaryCode:
 
 
 def random_codebook(n: int, M: int, seed: int) -> BinaryCode:
-    rng = make_rng(seed)
-    return BinaryCode("random", rng.integers(0, 2, size=(M, n)).astype(np.uint8))
+    n, M, seed = _integer("n", n), _integer("M", M), _integer("seed", seed)
+    return BinaryCode("random", make_rng(seed).integers(0, 2, size=(M, n)).astype(np.uint8))
 
 
 def make_code(spec: dict) -> BinaryCode:
@@ -406,10 +408,7 @@ class PbicmSimConfig:
             if "file" in ch:
                 channel = load_dmc(Path(base_dir) / ch["file"])
             else:
-                rows = ch["matrix"]
-                if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-                    raise ValueError(f"channel.matrix: expected a list of rows, got {rows!r}")
-                channel = Dmc(np.array([[_json_value("channel.matrix", "number", v) for v in r] for r in rows]))
+                channel = Dmc(_json_rows("channel.matrix", ch["matrix"]))
         else:
             raise ValueError(f"unknown channel kind: {kind!r}")
         return cls(

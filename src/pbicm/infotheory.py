@@ -80,6 +80,9 @@ _CURVES = {
     "PbicmRandomCoding": lambda b, c: partial(pbicm_exponent, b, c),
     "PbicmNormalized": lambda b, c: partial(pbicm_exponent, b, c, normalized=True),
     "UnconstrainedRandomCoding": lambda b, c: partial(random_coding_exponent, e0_evaluator(b, c, "Unconstrained")),
+    "WachsmannRandomCoding": lambda b, c: partial(
+        lambda ev, r: random_coding_exponent(ev, r / c.L), e0_evaluator(b, c, "WachsmannAveraged")
+    ),
 }
 CURVE_KINDS = tuple(_CURVES)
 
@@ -191,10 +194,13 @@ _BOUNDS = {
 def critical_rate(ev: E0Evaluator) -> float:
     """Rate below which the random-coding bound departs from sphere packing.
 
-    Computed as dE0/drho at rho = 1 by a central finite difference.
+    Computed as dE0/drho at rho = 1 by the second-order one-sided difference
+    (3 E0(1) - 4 E0(1 - h) + E0(1 - 2h)) / (2h) with h = 1e-5, whose error
+    is h**2 |E0'''| / 3, O(h**2).  No point lies past rho = 1, so none
+    walks outputs beyond those the ensemble stores for E0 at rho <= 1.
     """
     h = 1e-5
-    return (ev.e0(1.0 + h) - ev.e0(1.0 - h)) / (2 * h)
+    return (3 * ev.e0(1.0) - 4 * ev.e0(1.0 - h) + ev.e0(1.0 - 2 * h)) / (2 * h)
 
 
 def pbicm_exponent(
@@ -353,8 +359,10 @@ def exponent_curve(
 ) -> ExponentCurve:
     """Tabulate one exponent family over a grid of rates (bits).
 
-    Rates are total bits per channel use for the Pbicm* and Unconstrained
-    kinds, bits per binary-channel use for RandomCoding/SpherePacking.
+    Rates are total bits per channel use for the Pbicm*, Unconstrained and
+    WachsmannRandomCoding kinds, bits per binary-channel use for
+    RandomCoding/SpherePacking.  WachsmannRandomCoding is the random-coding
+    exponent of the WachsmannAveraged E0 at R/L.
     """
     rates = np.asarray(rates, dtype=float)
     if kind not in CURVE_KINDS:

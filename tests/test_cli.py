@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pbicm import _ensemble, infotheory
-from pbicm.channel import Dmc, bsc, save_dmc
+from pbicm.channel import Awgn, Dmc, RayleighCsi, Snr, bsc, save_dmc
 from pbicm.cli import main
+from pbicm.constellation import make_constellation
 
 
 def run_csv(path):
@@ -125,6 +126,19 @@ def test_exponents_bsc(tmp_path):
         assert pbn == pytest.approx(pb, abs=1e-12)  # L = 1
         assert wf >= pb - 1e-12
         assert unc >= 0
+
+
+@pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+def test_exponents_columns_are_the_exponent_curve_kinds(tmp_path, channel):
+    out = tmp_path / "exp.csv"
+    argv = ["exponents", "--constellation", "QAM16", "--channel", channel, "--snr-db", "6", "--rates", "0.1,0.5,1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    head, rows = run_csv(out)
+    base = (Awgn if channel == "awgn" else RayleighCsi)(Snr(6.0).n0)
+    kinds = ["UnconstrainedRandomCoding", "PbicmRandomCoding", "PbicmNormalized", "WachsmannRandomCoding"]
+    for col, kind in enumerate(kinds, 1):
+        curve = infotheory.exponent_curve(base, make_constellation("QAM16"), kind, [0.1, 0.5, 1.0])
+        assert [r[col] for r in rows] == [f"{v:.9g}" for v in curve.values], head[col]
 
 
 def test_exponents_rate_grid(tmp_path):
@@ -309,6 +323,11 @@ SIM_SPEC_WITHOUT_TRIALS = json.dumps(
 )
 
 
+def _inline_matrix_spec(matrix) -> str:
+    return json.dumps({"code": {"kind": "repetition", "n": 3}, "constellation": "BPSK",
+                       "channel": {"kind": "dmc", "matrix": matrix}, "trials": 10})
+
+
 @pytest.mark.parametrize(
     "command, content, named",
     [
@@ -317,9 +336,12 @@ SIM_SPEC_WITHOUT_TRIALS = json.dumps(
         ("capacity", "[5]", ["cfg.json", "expected a JSON object of flag defaults"]),
         ("simulate", None, ["sim.json"]),
         ("simulate", SIM_SPEC_WITHOUT_TRIALS, ["sim.json", "'trials'"]),
+        ("simulate", _inline_matrix_spec([[0.9, 0.1], [0.1]]), ["sim.json", "channel.matrix"]),
+        ("simulate", _inline_matrix_spec([]), ["sim.json", "channel.matrix"]),
+        ("simulate", _inline_matrix_spec([[0.9, 0.1], 0.5]), ["sim.json", "channel.matrix"]),
     ],
     ids=["missing_config", "malformed_config", "config_not_an_object", "missing_sim_config",
-         "sim_config_without_trials"],
+         "sim_config_without_trials", "ragged_inline_matrix", "no_rows_inline_matrix", "row_not_a_list_inline_matrix"],
 )
 def test_bad_input_file_exits_with_one_line(tmp_path, command, content, named):
     if command == "capacity":

@@ -111,6 +111,22 @@ def test_random_codebook_reproducible():
     assert not np.array_equal(a.codebook, c.codebook)
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: repetition(True), "n"),
+        (lambda: repetition(2.5), "n"),
+        (lambda: random_codebook(4, 2.5, 0), "M"),
+        (lambda: random_codebook(4, 4, 1.5), "seed"),
+    ],
+    ids=["repetition-bool-n", "repetition-float-n", "random-float-M", "random-float-seed"],
+)
+def test_code_sizes_and_seed_must_be_integers(build, field):
+    # True is not a length-1 code, and 2.5 is not truncated or left to numpy's TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        build()
+
+
 def test_make_code_dispatch():
     assert make_code({"kind": "repetition", "n": 3}).n == 3
     assert make_code({"kind": "hamming74"}).M == 16
@@ -729,8 +745,14 @@ def test_sim_config_channel_key_that_does_not_apply_is_refused(tmp_path, channel
         (("channel", "snr_db"), "5", "channel.snr_db"),
         (("channel",), {"kind": "dmc", "matrix": [[True, False], [False, True]]}, "channel.matrix"),
         (("channel",), {"kind": "dmc", "matrix": [1.0, 0.0, 0.0, 1.0]}, "channel.matrix"),
+        # the rule of a Dmc file's nested rows: a ragged matrix does not reach numpy's inhomogeneous-shape error
+        (("channel",), {"kind": "dmc", "matrix": [[0.9, 0.1], [0.1]]}, "channel.matrix"),
+        (("channel",), {"kind": "dmc", "matrix": []}, "channel.matrix"),
+        (("channel",), {"kind": "dmc", "matrix": [[0.9, 0.1], 0.5]}, "channel.matrix"),
+        (("channel",), {"kind": "dmc", "matrix": [[]]}, "channel.matrix"),
     ],
-    ids=["float-n", "string-M", "bool-code-seed", "float-trials", "bool-seed", "string-snr", "bool-matrix", "flat-matrix"],
+    ids=["float-n", "string-M", "bool-code-seed", "float-trials", "bool-seed", "string-snr", "bool-matrix", "flat-matrix",
+         "ragged-matrix", "no-rows-matrix", "row-not-a-list-matrix", "empty-row-matrix"],
 )
 def test_sim_config_refuses_a_value_of_the_wrong_json_type(keys, value, field):
     # int() and float() would truncate 3.9, read "4" and read true as 1

@@ -314,6 +314,16 @@ def test_critical_rate_closed_form_bsc():
     assert 0 < got < dmc.capacity(bsc(0.1).matrix)
 
 
+def test_critical_rate_evaluates_e0_at_or_below_one():
+    # the stored outputs serve E0 for rho <= 1; a point past 1 would walk them all again
+    ev = e0_evaluator(Awgn(Snr(5.0).n0), QPSK, "WbarCombined")
+    seen = []
+    e0_at = ev.e0
+    ev.e0 = lambda rho: seen.append(rho) or e0_at(rho)
+    critical_rate(ev)
+    assert seen and max(seen) == 1.0
+
+
 def test_critical_rate_noiseless_binary():
     ev = e0_evaluator(dmc_in_label_order(BPSK, np.eye(2)), BPSK, "Subchannel", s=1)
     assert critical_rate(ev) == pytest.approx(1.0, abs=1e-9)
@@ -585,7 +595,18 @@ def test_exponent_curve_kinds_and_monotonicity():
         exponent_curve(ch, QPSK, "NoSuchCurve", rates_bin)
     with pytest.raises(ValueError):
         ExponentCurve("RandomCoding", np.array([0.1, 0.2]), np.array([0.1]))
+    with pytest.raises(ValueError, match="kind must be one of"):
+        ExponentCurve("NoSuchCurve", np.array([0.1, 0.2]), np.array([0.3, 0.4]))
     assert set(CURVE_KINDS) >= {"RandomCoding", "SpherePacking"}
+
+
+@pytest.mark.parametrize("cons_name", ["QPSK", "PSK8"])
+def test_wachsmann_curve_is_random_coding_on_the_averaged_e0_at_r_over_l(cons_name):
+    base, cons = RayleighCsi(Snr(6.0).n0), make_constellation(cons_name)
+    rates = [0.1, 0.7, 1.3]
+    curve = exponent_curve(base, cons, "WachsmannRandomCoding", rates)
+    ev = e0_evaluator(base, cons, "WachsmannAveraged")
+    assert curve.values.tolist() == [random_coding_exponent(ev, r / cons.L) for r in rates]
 
 
 def test_exponent_curve_csv(tmp_path):

@@ -125,6 +125,15 @@ def test_dmc_input_count_is_checked_once_everywhere():
             call()
 
 
+@pytest.mark.parametrize(
+    "base, y", [(Awgn(0.5), 0.3 - 0.8j), (RayleighCsi(0.5), (0.3 - 0.8j, 0.6 + 0.2j))], ids=["awgn", "rayleigh"]
+)
+def test_subchannel_view_llr_is_llr_bit(base, y):
+    cons = make_constellation("QAM16")
+    for i in range(1, cons.L + 1):
+        assert SubchannelView(base, cons, i).llr(y) == llr_bit(base, cons, i, y)
+
+
 def test_awgn_subchannel_prob_is_mixture_of_gaussians():
     ch = Awgn(0.5)
     y = 0.3 + 0.1j
