@@ -254,10 +254,15 @@ def load_dmc(path: str | Path) -> Dmc:
         raise ValueError(f"{path}: matrix: Dmc file shape does not match header nx={nx}, ny={ny}")
     if path.suffix == ".json":
         rows = _json_rows(f"{path}: matrix", rows)
+    return _dmc(f"{path}: matrix", np.asarray(rows, dtype=float).reshape(nx, ny))
+
+
+def _dmc(field: str, matrix: np.ndarray) -> Dmc:
+    """``Dmc(matrix)``, or a ValueError that names the field: a matrix that is not row-stochastic, say."""
     try:
-        return Dmc(np.asarray(rows, dtype=float).reshape(nx, ny))
+        return Dmc(matrix)
     except ValueError as exc:
-        raise ValueError(f"{path}: matrix: {exc}") from None
+        raise ValueError(f"{field}: {exc}") from None
 
 
 def save_dmc(ch: Dmc, path: str | Path) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .channel import (
     ChannelModel,
     Dmc,
     RayleighCsi,
+    _dmc,
     _integer,
     _json_rows,
     _json_value,
@@ -34,18 +35,19 @@ from .channel import (
     rayleigh_from_snr,
     sample_batch,
 )
-from . import _value
+from . import _value, kernels
 from .constellation import Constellation, make_constellation
 from .subchannel import check_labeling, llr_matrix
 
 MAX_CODEBOOK = 2**16
 _CHUNK = 8192
 # ML decoding scores a block of rows at a time into one buffer of this many
-# float32 entries (4 MiB): 256 rows for M = 4096.  Median time of a 2048-row
-# decode with M = 4096 and n = 64 (2-core x86 VM, one OpenBLAS thread) by
-# rows per block: 8 rows 56 ms, 32 rows 32 ms, 128 rows 25 ms, 256 rows
-# 24 ms, 512 rows 25 ms; the whole (2048, 4096) score array at once, 31 ms.
-_SCORE_BLOCK = 1 << 20
+# float32 entries (1 MiB, inside a 2 MiB per-core L2): 64 rows for M = 4096.
+# Median time of a 2048-row decode with M = 4096 and n = 64 (2-core x86 VM,
+# one OpenBLAS thread) by rows per block: 8 rows 28 ms, 32 rows 16 ms, 64
+# rows 14 ms, 128 rows 14 ms, 256 rows 14 ms, 512 rows 14 ms; the whole
+# (2048, 4096) score array at once, 18 ms.
+_SCORE_BLOCK = 1 << 18
 # Codes of at most this many codewords are scored in float64 outright: on short
 # score rows the float32 certificate (a second argmax, row sizes, the gap test)
 # costs more than the float32 GEMM saves.  Median time of a 30,000-row decode
@@ -193,11 +195,7 @@ def apply_dither(bits: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def remove_dither_llr(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Flip LLR signs wherever the 0/1 dither bit was 1."""
-    return _undither(z, _value.bits(d, "dither"))
-
-
-def _undither(z, d) -> np.ndarray:  # unchecked: the simulate path draws its own dither
-    return np.asarray(z) * (1.0 - 2.0 * np.asarray(d, dtype=float))
+    return np.asarray(z) * (1.0 - 2.0 * _value.bits(d, "dither"))
 
 
 def ml_decode(code: BinaryCode, z: np.ndarray) -> int:
@@ -227,7 +225,7 @@ def _ml_decode_batch(code: BinaryCode, Z: np.ndarray) -> np.ndarray:
     exact = code.M <= _FLOAT64_MAX_M
     dtype = np.float64 if exact else np.float32
     signs = code.signs32_t.astype(dtype, copy=False)  # +-1 is exact in both
-    # 1 MiB float64 blocks for small codes: as fast as 8 MiB ones, and a lower peak RSS
+    # 256 KiB float64 blocks for small codes: a 30,000-row Hamming(7,4) decode took 2.1 ms in them and in 1 MiB ones
     R, step = len(rows), max(1, _SCORE_BLOCK // (8 * code.M if exact else code.M))
     out = np.empty(R, dtype=np.intp)
     buf = np.empty((min(step, R), code.M), dtype=dtype)
@@ -290,21 +288,23 @@ def _interleaved_labels(B: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _deinterleaved_llrs(z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``deinterleave`` of the (L, N) LLRs of N outputs shaped like the states s (..., n), read in one take.
 
-    Row l of column k is row (l - s_k) mod L of z, the mod taken by adding L
-    where l - s_k < 0; its flat index is that row times N plus k.
+    Row l of column k is row (l - s_k) mod L of z, at flat index that row
+    times N plus k.  The rows are worked out in int8 (a constellation of 2^L
+    points has L far below 128), so the int64 index is the one array of the
+    output's size that is built.
     """
     L, N = z.shape
-    idx = np.arange(L)[:, None] - s[..., None, :]
-    idx += L * (idx < 0)
+    rows = np.arange(L, dtype=np.int8)[:, None] - s.astype(np.int8)[..., None, :]
+    rows += (rows < 0).view(np.int8) * np.int8(L)
+    idx = rows.astype(np.int64)
     idx *= N
     idx += np.arange(N).reshape(s.shape)[..., None, :]
     return np.take(z, idx)
 
 
-def _llr_rows(base: ChannelModel, cons: Constellation, out) -> np.ndarray:
-    """(L, N) LLRs of channel outputs of any base type, N the number of outputs."""
-    ys = out if isinstance(base, RayleighCsi) else (out,)
-    return llr_matrix(base, cons, *(np.asarray(a).ravel() for a in ys))
+def _state_llrs(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Row s_k - 1 of column k of the (L, N) LLRs of N outputs shaped like the states s (..., n) in 1..L."""
+    return np.take(z, (s - 1) * z.shape[1] + np.arange(z.shape[1]).reshape(s.shape))
 
 
 def _send(base: ChannelModel, cons: Constellation, cw, d, s, rng):
@@ -312,13 +312,29 @@ def _send(base: ChannelModel, cons: Constellation, cw, d, s, rng):
     return _map_and_sample(base, cons, _interleaved_labels(cw ^ d, s), rng)
 
 
-def _receive_llrs(base: ChannelModel, cons: Constellation, out, d, s) -> np.ndarray:
-    """Demap, de-interleave and de-dither channel outputs -> (..., L, n) LLRs."""
-    return _undither(_deinterleaved_llrs(_llr_rows(base, cons, out), s), d)
+def _receive(base: ChannelModel, cons: Constellation, out, s, d, pick, keep) -> np.ndarray:
+    """``keep`` of the de-dithered LLRs of t trials, one block of trials at a time, joined on the trial axis.
+
+    ``out`` holds the channel outputs of the trials, (t, n) (a pair of them
+    for a RayleighCsi base), and ``s`` their states.  ``pick`` reads a
+    block's LLRs off the demapper's (L, N) rows and the block's states, in
+    the shape of the dither bits ``d``; their signs are flipped where d is 1.
+    A block's (L, N) rows hold about ``kernels.BLOCK_ENTRIES`` LLRs, so no
+    LLR array of the whole run is built.
+    """
+    ys = out if isinstance(base, RayleighCsi) else (out,)
+    step = max(1, kernels.BLOCK_ENTRIES // (cons.L * s.shape[-1]))
+    parts = []
+    for a in range(0, len(s), step):
+        k = slice(a, a + step)
+        z = pick(llr_matrix(base, cons, *(np.asarray(y)[k].ravel() for y in ys)), s[k])
+        z *= 1.0 - 2.0 * d[k]  # a masked np.negative(where=d) took 10x as long on random dither bits
+        parts.append(keep(z))
+    return np.concatenate(parts)
 
 
-def _direct_llrs(base: ChannelModel, cons: Constellation, bits: np.ndarray, rng) -> np.ndarray:
-    """De-dithered LLRs of (..., n) bits sent over the synthesized binary channel.
+def _direct(base: ChannelModel, cons: Constellation, bits: np.ndarray, rng, keep) -> np.ndarray:
+    """``_receive``'s ``keep`` of the de-dithered LLRs of (t, n) bits sent over the synthesized binary channel.
 
     Each bit, XORed with a fresh dither bit, replaces label bit s of a uniform
     random label, with s uniform on {1..L}; the receiver keeps LLR s.
@@ -326,12 +342,10 @@ def _direct_llrs(base: ChannelModel, cons: Constellation, bits: np.ndarray, rng)
     L = cons.L
     s = rng.integers(1, L + 1, size=bits.shape)
     d = rng.integers(0, 2, size=bits.shape).astype(np.uint8)
-    u = rng.integers(0, cons.m, size=bits.shape)
-    shift = L - s
-    lab = (u & ~(1 << shift)) | ((bits ^ d).astype(np.int64) << shift)
-    z = _llr_rows(base, cons, _map_and_sample(base, cons, lab, rng))
-    N = z.shape[1]
-    return _undither(np.take(z, (s - 1) * N + np.arange(N).reshape(s.shape)), d)  # row s - 1 of each output
+    lab = rng.integers(0, cons.m, size=bits.shape)  # the uniform labels, whose bit s is replaced in place
+    lab &= ~(1 << (L - s))
+    lab |= (bits ^ d).astype(np.int64) << (L - s)
+    return _receive(base, cons, _map_and_sample(base, cons, lab, rng), s, d, _state_llrs, keep)
 
 
 def pbicm_transmit(
@@ -362,10 +376,15 @@ def pbicm_receive(
     cons: Constellation,
 ) -> np.ndarray:
     """Demap, de-interleave, de-dither and ML-decode all L levels."""
-    for a in y if isinstance(base, RayleighCsi) else (y,):
+    ys = y if isinstance(base, RayleighCsi) else (y,)
+    for a in ys:
         if np.shape(a) != state.s.shape:
             raise ValueError(f"channel outputs have shape {np.shape(a)}, but the state has length {state.s.size}")
-    return _ml_decode_batch(code, _receive_llrs(base, cons, y, state.d, state.s))
+    one = tuple(np.asarray(a)[None] for a in ys)  # a run of one trial
+    return _receive(
+        base, cons, one if isinstance(base, RayleighCsi) else one[0], state.s[None], state.d[None],
+        _deinterleaved_llrs, partial(_ml_decode_batch, code),
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +427,7 @@ class PbicmSimConfig:
             if "file" in ch:
                 channel = load_dmc(Path(base_dir) / ch["file"])
             else:
-                channel = Dmc(_json_rows("channel.matrix", ch["matrix"]))
+                channel = _dmc("channel.matrix", _json_rows("channel.matrix", ch["matrix"]))
         else:
             raise ValueError(f"unknown channel kind: {kind!r}")
         return cls(
@@ -456,11 +475,12 @@ class SimulationResult:
         return json.dumps(self.__dict__, indent=2)  # tuples are written as arrays
 
 
-def _pipeline(cfg: PbicmSimConfig, t: int, rng: np.random.Generator, dither=True, zero_other_levels=False):
-    """Messages (t, L), codewords (t, L, n) and de-dithered LLRs (t, L, n) of t blocks sent through the pipeline.
+def _pipeline(cfg: PbicmSimConfig, t: int, rng: np.random.Generator, keep, dither=True, zero_other_levels=False):
+    """Messages (t, L), codewords (t, L, n) and ``_receive``'s ``keep`` of the (t, L, n) LLRs of t blocks.
 
-    Draws messages, dither, states and noise in that order; ``dither=False``
-    and ``zero_other_levels=True`` inject the faults of ``equivalence_test``.
+    Draws messages, dither, states and the whole run's noise in that order,
+    then receives; ``dither=False`` and ``zero_other_levels=True`` inject
+    the faults of ``equivalence_test``.
     """
     code, cons, base = cfg.code, cfg.cons, cfg.channel
     L, n = cons.L, code.n
@@ -472,21 +492,21 @@ def _pipeline(cfg: PbicmSimConfig, t: int, rng: np.random.Generator, dither=True
     if not dither:
         d[:] = 0
     s = rng.integers(0, L, size=(t, n))
-    return msgs, cw, _receive_llrs(base, cons, _send(base, cons, cw, d, s, rng), d, s)
+    return msgs, cw, _receive(base, cons, _send(base, cons, cw, d, s, rng), s, d, _deinterleaved_llrs, keep)
 
 
 def _simulate_chunk(cfg: PbicmSimConfig, t: int, rng: np.random.Generator) -> np.ndarray:
     """Error counts of t trials: block errors, L level errors, L bit errors, then W-bar block errors."""
     code = cfg.code
-    msgs, _, z = _pipeline(cfg, t, rng)
-    dec = _ml_decode_batch(code, z)  # (t, L)
+    decode = partial(_ml_decode_batch, code)
+    msgs, _, dec = _pipeline(cfg, t, rng, decode)  # (t, L)
     lvl_err = dec != msgs
     diff = dec ^ msgs
     bit_err = sum(((diff >> b) & 1).sum(axis=0) for b in range(code.message_bits))  # per level
 
     # Direct synthesis of the randomized binary channel, same code.
     msgs_w = rng.integers(0, code.M, size=t)
-    dec_w = _ml_decode_batch(code, _direct_llrs(cfg.channel, cfg.cons, code.codebook[msgs_w], rng))
+    dec_w = _direct(cfg.channel, cfg.cons, code.codebook[msgs_w], rng, decode)
     return np.concatenate([[lvl_err.any(axis=1).sum()], lvl_err.sum(axis=0), bit_err, [(dec_w != msgs_w).sum()]])
 
 
@@ -498,9 +518,10 @@ def simulate(cfg: PbicmSimConfig) -> SimulationResult:
     so results are identical regardless of how chunks are executed.
     """
     code, L, T = cfg.code, cfg.cons.L, cfg.trials
-    # The decoder's score block bounds memory; the chunk size only fixes
-    # which substream each trial draws from.  The formula is kept so that
-    # results for M > 512 codes do not change.
+    # A chunk is drawn and sent whole, then received in blocks of trials
+    # (``_receive``), each decoded a score block at a time; the chunk size
+    # fixes which substream each trial draws from.  The formula is kept so
+    # that results for M > 512 codes do not change.
     chunk = max(1, min(_CHUNK, (1 << 22) // code.M))
     counts = sum(
         _simulate_chunk(cfg, min(chunk, T - start), make_rng(cfg.seed, idx))
@@ -569,12 +590,15 @@ def equivalence_test(
 
     if cfg.trials * cfg.code.n < 10_000:
         raise ValueError("insufficient samples (< 10^4): increase trials")
-    _, cw, z = _pipeline(cfg, cfg.trials, make_rng(cfg.seed, 900_001), dither, zero_other_levels)
+    # each block's level-1 LLRs, copied so that the block's other levels are freed
+    _, cw, z = _pipeline(
+        cfg, cfg.trials, make_rng(cfg.seed, 900_001), lambda z: z[:, 0].copy(), dither, zero_other_levels
+    )
     rng = make_rng(cfg.seed, 900_002)
     b = rng.integers(0, 2, size=(cfg.trials, cfg.code.n)).astype(np.uint8)
-    z_dir = _direct_llrs(cfg.channel, cfg.cons, b, rng)
+    z_dir = _direct(cfg.channel, cfg.cons, b, rng, lambda z: z)
     # per conditioning bit: the level-1 LLRs of the pipeline, then those of the synthesized channel
-    pairs = [(z[:, 0][cw[:, 0] == bit], z_dir[b == bit]) for bit in (0, 1)]
+    pairs = [(z[cw[:, 0] == bit], z_dir[b == bit]) for bit in (0, 1)]
     if isinstance(cfg.channel, Dmc):
         method, test = "chi2", _two_sample_discrete
     else:

@@ -258,10 +258,13 @@ class DispersionReport:
 
 
 def dispersion_report(base: ChannelModel, cons: Constellation) -> DispersionReport:
-    # plain floats: numpy's per-call cost is most of the work on 1 to 6 sub-channels
-    c_sub, v_sub = (a.tolist() for a in _moments(base, cons)[:2])
+    # plain floats, as numpy's per-call cost is most of the work on 1 to 6 sub-channels;
+    # but the sum rate is capacity_pbicm's numpy sum, so that the two agree bit for bit
+    caps, disps = _moments(base, cons)[:2]
+    c_sub, v_sub = caps.tolist(), disps.tolist()
     L = cons.L
-    c_wbar = sum(c_sub) / L
+    c_pbicm = float(caps.sum())
+    c_wbar = c_pbicm / L
     mean_v = sum(v_sub) / L
     penalty = sum((c - c_wbar) ** 2 for c in c_sub) / L
     v_wbar = mean_v + penalty
@@ -270,7 +273,7 @@ def dispersion_report(base: ChannelModel, cons: Constellation) -> DispersionRepo
         c_subchannels=c_sub,
         v_subchannels=v_sub,
         c_wbar=c_wbar,
-        c_pbicm=sum(c_sub),
+        c_pbicm=c_pbicm,
         v_wbar=v_wbar,
         v_pbicm=L**2 * v_wbar,
         mean_subchannel_v=mean_v,

@@ -117,7 +117,11 @@ def llr_batch(y, h, points, n0, sets, llr_max) -> np.ndarray:
     (L, N) float array in natural-log units, L the axis bit count.
     """
     out = np.empty((sets.shape[0], len(y)))
-    step = max(1, BLOCK_ENTRIES // len(points))
+    # near-equal blocks of about BLOCK_ENTRIES distances, with no short last block, which
+    # costs nearly what a full one does: 35,000 QAM64 outputs demapped 5,460 at a time
+    # took 4.9 ms in blocks of 4,096 and 1,364, and 4.5 ms in one block each
+    blocks = max(1, round(len(y) * len(points) / BLOCK_ENTRIES))
+    step = max(1, -(-len(y) // blocks))
     for a in range(0, len(y), step):
         k = slice(a, a + step)
         ls = log_subchannel(log_densities(y[k], None if h is None else h[k], points, n0), sets)

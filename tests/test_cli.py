@@ -339,9 +339,11 @@ def _inline_matrix_spec(matrix) -> str:
         ("simulate", _inline_matrix_spec([[0.9, 0.1], [0.1]]), ["sim.json", "channel.matrix"]),
         ("simulate", _inline_matrix_spec([]), ["sim.json", "channel.matrix"]),
         ("simulate", _inline_matrix_spec([[0.9, 0.1], 0.5]), ["sim.json", "channel.matrix"]),
+        ("simulate", _inline_matrix_spec([[0.5, 0.6], [0.5, 0.5]]), ["sim.json", "channel.matrix"]),
     ],
     ids=["missing_config", "malformed_config", "config_not_an_object", "missing_sim_config",
-         "sim_config_without_trials", "ragged_inline_matrix", "no_rows_inline_matrix", "row_not_a_list_inline_matrix"],
+         "sim_config_without_trials", "ragged_inline_matrix", "no_rows_inline_matrix", "row_not_a_list_inline_matrix",
+         "not_stochastic_inline_matrix"],
 )
 def test_bad_input_file_exits_with_one_line(tmp_path, command, content, named):
     if command == "capacity":

@@ -32,6 +32,7 @@ from pbicm.codec import (
     simulate,
     wilson_ci,
 )
+from pbicm import kernels
 from pbicm.constellation import bits_to_int, make_constellation
 from pbicm.subchannel import LLR_MAX
 
@@ -349,31 +350,47 @@ def test_ml_decode_batch_builds_one_read_only_sign_matrix_per_code():
     }
 
 
-def test_ml_decode_batch_memory_bounded():
-    # one score block, not the whole (2048, 4096) float64 score array (64 MiB)
-    Z = make_rng(3).normal(size=(1024, 2, 64))
+def _traced_peak(fn, *args):
+    """Peak of the memory numpy and Python allocate while ``fn(*args)`` runs, and its value."""
     tracemalloc.start()
     try:
-        _ml_decode_batch(_RANDOM_4096, Z)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+
+
+def test_ml_decode_batch_memory_bounded():
+    # one 1 MiB score block (64 rows), not the whole (2048, 4096) float64 score array (64 MiB): 2x margin
+    _RANDOM_4096.signs32_t  # built outside the trace
+    Z = make_rng(3).normal(size=(1024, 2, 64))
+    assert _traced_peak(_ml_decode_batch, _RANDOM_4096, Z)[0] < 2 * 2**20
 
 
 def test_ml_decode_batch_memory_bounded_when_every_row_is_rescored():
-    # an all-zero row ties every codeword, so every block is rescored in float64;
-    # a fresh code builds both of its sign matrices under the trace
+    # an all-zero row ties every codeword, so every block is rescored in float64.  A
+    # fresh code builds its 1 MiB float32 sign matrix under the trace; a block then holds
+    # the 1 MiB score block, a 2 MiB float64 copy of that matrix and 2 MiB of float64
+    # scores: 6 MiB, with a 2x margin
     code = random_codebook(64, 4096, seed=1)
     Z = np.zeros((1024, 2, 64))
-    tracemalloc.start()
-    try:
-        dec = _ml_decode_batch(code, Z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    peak, dec = _traced_peak(_ml_decode_batch, code, Z)
+    assert peak < 12 * 2**20
     assert not dec.any()
+
+
+@pytest.mark.parametrize(
+    "code, kind, snr_db, trials",
+    [(_RANDOM_4096, "QPSK", -5.0, 1024), (hamming74(), "QAM64", 11.0, 5000)],
+    ids=["qpsk-random4096", "qam64-hamming"],
+)
+def test_simulate_memory_bounded(code, kind, snr_db, trials):
+    # a chunk is sent whole but received and decoded in blocks of trials, so
+    # one simulate holds the chunk's send arrays and one block's LLRs and
+    # scores (5.1 and 3.8 MiB here), not LLRs and scores of the whole chunk
+    cfg = PbicmSimConfig(code, make_constellation(kind), Awgn(Snr(snr_db).n0), trials=trials, seed=3)
+    simulate(cfg)  # builds what is kept across calls (sign matrices, label sets) outside the trace
+    assert _traced_peak(simulate, cfg)[0] < 6 * 2**20
 
 
 def _float64_decisions(code, Z):
@@ -632,9 +649,26 @@ def _pinned_dmc():
 def test_simulate_counts_pinned(code, kind, channel, trials, seed, counts):
     # exact counters pin the generator draw order and the decoder's decisions,
     # across chunks (9000 > 8192; 2500 trials are 3 chunks of at most 1024 for
-    # M = 4096) and across score blocks (256 rows for M = 4096)
+    # M = 4096), across receive blocks (256 trials of QPSK with n = 64) and
+    # across score blocks (64 rows for M = 4096)
     cfg = PbicmSimConfig(code, make_constellation(kind), channel, trials=trials, seed=seed)
     assert simulate(cfg).counts == counts
+
+
+@pytest.mark.parametrize("entries", [97, 1 << 30], ids=["many-blocks", "one-block"])
+def test_receive_blocks_change_no_output(monkeypatch, entries):
+    # the receiver's blocks of trials (and the demapper's, sized by the same
+    # constant) only split the work: every trial is received once, in order
+    runs = [
+        (hamming74(), "QAM16", RayleighCsi(Snr(8.0).n0), 700),
+        (hamming74(), "QPSK", _pinned_dmc(), 700),
+        (random_codebook(20, 300, 2), "PSK8", Awgn(Snr(6.0).n0), 300),
+    ]
+    cfgs = [PbicmSimConfig(code, make_constellation(kind), ch, trials=t, seed=5) for code, kind, ch, t in runs]
+    eq = PbicmSimConfig(hamming74(), make_constellation("QAM16"), RayleighCsi(Snr(6.0).n0), trials=1500, seed=2)
+    before = [simulate(cfg).to_json() for cfg in cfgs], equivalence_test(eq)
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", entries)
+    assert ([simulate(cfg).to_json() for cfg in cfgs], equivalence_test(eq)) == before
 
 
 def test_sim_config_validation():

@@ -903,6 +903,18 @@ def test_capacities_and_dispersion_share_one_moment_table(monkeypatch):
     assert c_cm >= c_pb - 1e-4 and rep.c_pbicm == c_pb
 
 
+@pytest.mark.parametrize("fading", [False, True], ids=["awgn", "rayleigh"])
+@pytest.mark.parametrize("cons_name", ["BPSK", "QPSK", "PSK8", "QAM16", "QAM64"])
+def test_dispersion_report_sum_rate_is_capacity_pbicm_bit_for_bit(cons_name, fading):
+    # one sum of the sub-channel capacities serves both, and c_wbar is that sum over L
+    cons = make_constellation(cons_name)
+    for snr_db in (-5.0, 3.0, 11.0):
+        base = (RayleighCsi if fading else Awgn)(Snr(snr_db).n0)
+        rep = dispersion_report(base, cons)
+        assert rep.c_pbicm == capacity_pbicm(base, cons)
+        assert rep.c_wbar == rep.c_pbicm / cons.L
+
+
 def test_all_e0_kinds_share_one_ensemble():
     _ensemble.get_ensemble.cache_clear()
     base = Awgn(Snr(3.0).n0)
